@@ -8,17 +8,24 @@ packed representation never leaks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterator
 
 from .errors import ScaleError, WordParseError
 
-# Profile construction is a sliding window per length, O(n^2) overall.
-# Anything past this length is refused rather than left to crawl.
+# A profile costs O(r^2) C-level steps over the positions of the rarer
+# symbol, r = min(|w|_0, |w|_1), so O(n^2) in the worst case. Anything
+# past this length is refused rather than left to crawl.
 PROFILE_LENGTH_GUARD = 100_000
 
 MAX_ONES = "max_ones"
 MAX_ZEROS = "max_zeros"
 MIN_ONES = "min_ones"
+
+# Byte tables mapping an ASCII '0'/'1' rendering to 0/1 indicators of
+# symbol x, indexed by x.
+_INDICATORS = (bytes.maketrans(b"01", b"\x01\x00"), bytes.maketrans(b"01", b"\x00\x01"))
 
 
 class BinaryWord:
@@ -141,14 +148,8 @@ class BinaryWord:
     def prefix_counts(self, x: int = 1) -> list[int]:
         """P[i] = occurrences of x in the prefix of length i, for i = 0..n."""
         _check_symbol(x)
-        counts = [0] * (self._n + 1)
-        bits = self._bits if x == 1 else self._bits ^ ((1 << self._n) - 1)
-        acc = 0
-        for i in range(1, self._n + 1):
-            acc += bits & 1
-            bits >>= 1
-            counts[i] = acc
-        return counts
+        indicators = self.to01().encode("ascii").translate(_INDICATORS[x])
+        return list(accumulate(indicators, initial=0))
 
 
 def _check_symbol(x: int) -> None:
@@ -162,13 +163,10 @@ def parse_word(text: str) -> BinaryWord:
     Rejects any other character with a WordParseError naming the 1-based
     position of the first offender.
     """
-    bits = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            bits |= 1 << i
-        elif ch != "0":
-            raise WordParseError(i + 1, ch)
-    return BinaryWord(bits, len(text))
+    rest = text.lstrip("01")
+    if rest:
+        raise WordParseError(len(text) - len(rest) + 1, rest[0])
+    return BinaryWord(int(text[::-1] or "0", 2), len(text))
 
 
 @dataclass(frozen=True)
@@ -208,34 +206,49 @@ def _guard_profile_length(n: int, unsafe_large: bool) -> None:
         )
 
 
-def _max_window_profile(prefix: list[int]) -> tuple[int, ...]:
-    # One pass per window length over the prefix-count array. Growing a
-    # window by one symbol adds at most one to its count, so each length
-    # only has to decide whether some window reaches the previous value
-    # plus one; the scan stops at the first witness.
-    n = len(prefix) - 1
-    values = [0] * (n + 1)
-    best = 0
-    for k in range(1, n + 1):
-        target = best + 1
-        for i in range(n - k + 1):
-            if prefix[i + k] - prefix[i] == target:
-                best = target
-                break
-        values[k] = best
-    return tuple(values)
+def _min_spans(bits: int, n: int) -> list[int]:
+    """Shortest factor length holding t ones, for t = 1..(ones in the word).
+
+    bits is a packed word of length n. These are the lengths k at which
+    the maximum-ones profile steps up, i.e. the positions of the 1s in
+    PNF1. The work is O(r^2) C-level steps over the positions of the
+    rarer symbol, r = min(|w|_0, |w|_1).
+    """
+    # The profile is invariant under reversal, so positions are read off
+    # the most-significant-first rendering as they stand. The sentinel
+    # bit makes the rendering exactly n characters, also for n = 0.
+    text = format(bits | 1 << n, "b")[1:]
+    if 2 * bits.bit_count() <= n:
+        # Ones rarer: the t-th span is the least distance between ones
+        # t - 1 apart in the position list.
+        ones = [i for i, c in enumerate(text) if c == "1"]
+        return [min(map(sub, ones[t - 1 :], ones)) + 1 for t in range(1, len(ones) + 1)]
+    # Zeros rarer: the longest factor with at most j zeros spans j + 1
+    # zero-gaps, E[i + j + 1] - E[i] - 1 over the zero positions E padded
+    # with -1 and n. The minimum-zeros profile steps up just past it, and
+    # since max-ones(k) = k - min-zeros(k), max-ones steps everywhere else.
+    edges = [-1, *(i for i, c in enumerate(text) if c == "0"), n]
+    skipped = {max(map(sub, edges[j + 1 :], edges)) for j in range(len(edges) - 2)}
+    return [k for k in range(1, n + 1) if k not in skipped]
+
+
+def _max_profile(kind: str, bits: int, n: int) -> OnesProfile:
+    steps = bytearray(n + 1)
+    for k in _min_spans(bits, n):
+        steps[k] = 1
+    return OnesProfile(kind, tuple(accumulate(steps)))
 
 
 def max_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> OnesProfile:
     """values[k] = largest ones-count over all length-k factors of w."""
     _guard_profile_length(len(w), unsafe_large)
-    return OnesProfile(MAX_ONES, _max_window_profile(w.prefix_counts(1)))
+    return _max_profile(MAX_ONES, w.packed, len(w))
 
 
 def max_zeros_profile(w: BinaryWord, *, unsafe_large: bool = False) -> OnesProfile:
     """values[k] = largest zeros-count over all length-k factors of w."""
     _guard_profile_length(len(w), unsafe_large)
-    return OnesProfile(MAX_ZEROS, _max_window_profile(w.prefix_counts(0)))
+    return _max_profile(MAX_ZEROS, w.complement().packed, len(w))
 
 
 def min_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> OnesProfile:

@@ -150,7 +150,7 @@ def _cmd_index(args) -> int:
     with open(args.ixfile, "rb") as fp:
         ix = jumbled.load_index(fp)
     if args.index_cmd == "query":
-        answer = ix.query_via_rank(ones=args.ones, zeros=args.zeros)
+        answer = ix.query(ones=args.ones, zeros=args.zeros)
         _emit(
             args,
             ["ones", "zeros", "answer"],
@@ -170,7 +170,7 @@ def _cmd_index(args) -> int:
                 ones, zeros = int(ones_s), int(zeros_s)
             except ValueError:
                 raise _UsageError(f"{args.csvfile}:{lineno}: expected 'ones,zeros', got {line!r}")
-            answer = ix.query_via_rank(ones=ones, zeros=zeros)
+            answer = ix.query(ones=ones, zeros=zeros)
             rows.append((ones, zeros, "yes" if answer else "no"))
     _emit(args, ["ones", "zeros", "answer"], rows, text_lines=[r[2] for r in rows])
     return EXIT_OK

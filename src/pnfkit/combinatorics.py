@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitword import BinaryWord
+from .bitword import BinaryWord, _min_spans
 from .errors import ContractError, PnfkitError, ScaleError
 from .normality import is_prefix_normal
 
@@ -321,26 +321,9 @@ class ClassStatistics:
 
 
 def _pnf1_bits(word_bits: int, n: int) -> int:
-    # pnf1 of a packed word, avoiding BinaryWord overhead in 2^n scans.
-    # Emits a 1 exactly where the max-ones profile steps up; the scan per
-    # length stops at the first window reaching the previous value + 1.
-    p = [0] * (n + 1)
-    acc = 0
-    b = word_bits
-    for i in range(1, n + 1):
-        acc += b & 1
-        b >>= 1
-        p[i] = acc
-    out = 0
-    best = 0
-    for k in range(1, n + 1):
-        target = best + 1
-        for i in range(n - k + 1):
-            if p[i + k] - p[i] == target:
-                best = target
-                out |= 1 << (k - 1)
-                break
-    return out
+    # pnf1 of a packed word, avoiding BinaryWord overhead in 2^n scans:
+    # its 1s sit at the shortest spans holding 1, 2, ... ones.
+    return sum([1 << (k - 1) for k in _min_spans(word_bits, n)])
 
 
 def class_statistics(

@@ -13,13 +13,7 @@ import struct
 from dataclasses import dataclass
 from typing import BinaryIO
 
-from .bitword import (
-    BinaryWord,
-    OnesProfile,
-    RankDirectory,
-    max_ones_profile,
-    min_ones_profile,
-)
+from .bitword import MAX_ONES, MIN_ONES, BinaryWord, OnesProfile, RankDirectory
 from .errors import IndexFormatError
 from .pnf import PnfPair, pnf_pair
 
@@ -65,12 +59,16 @@ def _check_counts(ones: int, zeros: int) -> None:
 
 
 def build_index(w: BinaryWord, *, unsafe_large: bool = False) -> JumbledIndex:
-    """Build the index: profiles, normal forms and rank directories."""
+    """Build the index: profiles, normal forms and rank directories.
+
+    The profiles are read off the forms (fmax = prefix counts of PNF1,
+    fmin = prefix counts of PNF0), so each symbol costs one kernel pass.
+    """
     pair = pnf_pair(w, unsafe_large=unsafe_large)
     return JumbledIndex(
         n=len(w),
-        fmax=max_ones_profile(w, unsafe_large=unsafe_large),
-        fmin=min_ones_profile(w, unsafe_large=unsafe_large),
+        fmax=OnesProfile(MAX_ONES, tuple(pair.pnf1.prefix_counts(1))),
+        fmin=OnesProfile(MIN_ONES, tuple(pair.pnf0.prefix_counts(1))),
         pnf_pair=pair,
         rank1_dir=RankDirectory(pair.pnf1),
         rank0_dir=RankDirectory(pair.pnf0),

@@ -34,6 +34,15 @@ class TestParse:
             parse_word("10a1")
         assert exc.value.position == 3
 
+    @pytest.mark.parametrize(
+        "text, position, char",
+        [("x0110", 1, "x"), ("011 0110", 4, " "), ("0110\n", 5, "\n"), ("1b0c", 2, "b")],
+    )
+    def test_bad_character_start_middle_end(self, text, position, char):
+        with pytest.raises(WordParseError) as exc:
+            parse_word(text)
+        assert (exc.value.position, exc.value.char) == (position, char)
+
     def test_positions_are_one_based(self):
         w = parse_word("011")
         assert [w.bit(i) for i in (1, 2, 3)] == [0, 1, 1]

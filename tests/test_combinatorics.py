@@ -22,8 +22,8 @@ from pnfkit import (
     separating_suffix,
     upper_bound_threshold,
 )
-from pnfkit.combinatorics import gf_series, resolve_threads
-from conftest import all_words
+from pnfkit.combinatorics import _pnf1_bits, gf_series, resolve_threads
+from conftest import all_words, window_scan_profile, word_from_steps, words_up_to
 
 KNOWN_PNW = [2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185, 7568]
 
@@ -293,6 +293,11 @@ class TestClassStatistics:
     def test_class_count_equals_pnw(self):
         for n in range(11):
             assert class_statistics(n).class_count == count_pnw(n)
+
+    def test_class_key_matches_window_scan(self):
+        for w in words_up_to(12):
+            expected = word_from_steps(window_scan_profile(w, 1), 1)
+            assert _pnf1_bits(w.packed, len(w)) == expected.packed
 
     def test_sizes_sum_to_power(self):
         for n in range(11):

@@ -1,9 +1,15 @@
+import random
+
 import pytest
 
 from pnfkit import (
+    BinaryWord,
     ParikhVector,
+    PnfPair,
     ScaleError,
     is_prefix_normal,
+    max_ones_profile,
+    max_zeros_profile,
     parikh_set,
     parikh_set_bruteforce,
     parikh_set_equal,
@@ -13,7 +19,7 @@ from pnfkit import (
     pnf_pair,
     prefix_equivalent,
 )
-from conftest import all_words, random_word
+from conftest import all_words, random_word, window_scan_profile, word_from_steps, words_up_to
 
 LONG = parse_word("1010011011000111001011")
 
@@ -76,6 +82,48 @@ class TestNormalForms:
                 assert normal == [representative]
                 if len(members) == 1:
                     assert members[0] == members[0].reverse()
+
+
+def shaped_word(shape: str, n: int) -> BinaryWord:
+    rng = random.Random(0x5EED)
+    if shape == "empty":
+        return BinaryWord(0, 0)
+    if shape == "all-0":
+        return BinaryWord(0, n)
+    if shape == "all-1":
+        return BinaryWord((1 << n) - 1, n)
+    if shape == "random":
+        return random_word(rng, n)
+    if shape in ("sparse", "dense"):
+        p = 0.05 if shape == "sparse" else 0.95
+        return BinaryWord.from_bits([int(rng.random() < p) for _ in range(n)])
+    assert shape == "40-runs"
+    cuts = [0, *sorted(rng.sample(range(1, n), 39)), n]
+    return BinaryWord.from_bits([r % 2 for r in range(40) for _ in range(cuts[r + 1] - cuts[r])])
+
+
+class TestKernelMatchesWindowScan:
+    """The rarer-symbol kernel against the early-exit window scan."""
+
+    @staticmethod
+    def assert_matches(w):
+        f1 = window_scan_profile(w, 1)
+        f0 = window_scan_profile(w, 0)
+        assert max_ones_profile(w).values == f1
+        assert max_zeros_profile(w).values == f0
+        assert pnf_pair(w) == PnfPair(word_from_steps(f1, 1), word_from_steps(f0, 0))
+
+    def test_exhaustive_to_12(self):
+        for w in words_up_to(12):
+            self.assert_matches(w)
+
+    @pytest.mark.parametrize(
+        "shape", ["random", "sparse", "dense", "40-runs", "all-0", "all-1", "empty"]
+    )
+    def test_long_words(self, shape):
+        w = shaped_word(shape, 2000)
+        assert len(w) == (0 if shape == "empty" else 2000)
+        self.assert_matches(w)
 
 
 class TestPrefixEquivalence:
