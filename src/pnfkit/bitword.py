@@ -26,6 +26,7 @@ MIN_ONES = "min_ones"
 # Byte tables mapping an ASCII '0'/'1' rendering to 0/1 indicators of
 # symbol x, indexed by x.
 _INDICATORS = (bytes.maketrans(b"01", b"\x01\x00"), bytes.maketrans(b"01", b"\x00\x01"))
+_BIT_CHARS = {0: "0", 1: "1"}
 
 
 class BinaryWord:
@@ -48,12 +49,12 @@ class BinaryWord:
 
     @classmethod
     def from_bits(cls, bits: "list[int] | tuple[int, ...]") -> "BinaryWord":
-        packed = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit value {b!r} is not 0 or 1")
-            packed |= b << i
-        return cls(packed, len(bits))
+        try:
+            text = "".join([_BIT_CHARS[b] for b in bits])
+        except (KeyError, TypeError):
+            bad = next(b for b in bits if b not in (0, 1))
+            raise ValueError(f"bit value {bad!r} is not 0 or 1") from None
+        return parse_word(text)
 
     def __len__(self) -> int:
         return self._n
@@ -67,10 +68,7 @@ class BinaryWord:
         return hash((self._n, self._bits))
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        for _ in range(self._n):
-            yield bits & 1
-            bits >>= 1
+        return iter(self.to01().encode("ascii").translate(_INDICATORS[1]))
 
     def __add__(self, other: "BinaryWord") -> "BinaryWord":
         if not isinstance(other, BinaryWord):
@@ -138,12 +136,8 @@ class BinaryWord:
         return BinaryWord(self._bits ^ mask, self._n)
 
     def reverse(self) -> "BinaryWord":
-        rev = 0
-        bits = self._bits
-        for _ in range(self._n):
-            rev = (rev << 1) | (bits & 1)
-            bits >>= 1
-        return BinaryWord(rev, self._n)
+        # Read position 1 first as the most significant bit: it lands at position n.
+        return BinaryWord(int(self.to01() or "0", 2), self._n)
 
     def prefix_counts(self, x: int = 1) -> list[int]:
         """P[i] = occurrences of x in the prefix of length i, for i = 0..n."""

@@ -1,10 +1,32 @@
 """Enumeration of prefix normal words and the identities around it.
 
-The enumeration engine is a depth-first walk of the prefix-closed tree
-of 1-prefix-normal words: appending 0 always stays in the language,
-appending 1 is gated by the suffix-vs-prefix count test. One walk to
-depth n yields, per length m <= n, the word count pnw(m), the
-extension-critical count ecrit(m) and the density histogram.
+The enumeration engine is one iterative depth-first walk, `_walk`, of
+the prefix-closed tree of 1-prefix-normal words: appending 0 always
+stays in the language, appending 1 is gated by the append-one test. One
+walk to depth n yields, per length m <= n, the word count pnw(m), the
+extension-critical count ecrit(m) and the density histogram; given a
+density window lo..hi it visits only the subtrees that can still reach
+it. Census, density and extension counts, the split-depth root
+collection and the word listing all run through it.
+
+Append-one test. For a word w of length m with ones-prefix counts P,
+w1 is 1-prefix-normal iff every slack
+
+    s_m(k) = P(k) + P(m+1-k) - P(m) - 1,    k = 1..m,
+
+is non-negative. Appending b gives s_{m+1}(1) = w_1 - 1 and
+s_{m+1}(k) = s_m(k-1) + w_k - b for k >= 2, so the walk keeps the m
+slacks of a node in the fields of one int and derives a child's with a
+shift and two adds; the test itself is one mask compare.
+
+Inherited test. With b = 0 no slack shrinks, so if w starts with 1 and
+w1 is prefix normal, then w01 is too: the 0-child of a node that passed
+the test passes without running it.
+
+Folded leaf level. A node at depth n-1 counts (and, when listing, emits)
+its one or two leaf children in place instead of pushing them; the
+leaves are tested only when ecrit(n) is asked for, and the 0-leaf
+inherits its verdict as above.
 
 Counting walks may be forked at a fixed depth into independent subtree
 tasks; totals are exact integers summed in task order, so parallel and
@@ -17,7 +39,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from operator import add
+from typing import Iterator, Sequence
 
 from .bitword import BinaryWord, _min_spans
 from .errors import ContractError, PnfkitError, ScaleError
@@ -59,100 +83,139 @@ def resolve_threads(threads: int | None = None) -> int:
 # Core walk
 # ---------------------------------------------------------------------------
 
+Tally = tuple[list[int], list[int], list[int]]
 
-def _walk_counts(
-    root_prefix: tuple[int, ...],
+
+def _new_tally(n: int) -> Tally:
+    return ([0] * (n + 1), [0] * (n + 1), [0] * (n + 1))
+
+
+def _walk(
+    root_prefix: Sequence[int],
     n: int,
+    lo: int,
+    hi: int,
     leaf_ecrit: bool,
-    with_hist: bool,
-) -> tuple[list[int], list[int], list[int] | None]:
-    """Count the subtree under a 1-prefix-normal root.
+    tally: Tally,
+    emit: bool,
+) -> Iterator[int]:
+    """Walk the subtree under a 1-prefix-normal root down to depth n.
 
     root_prefix is the ones-prefix-count array of the root word (entry 0
-    is 0). Returns per-depth node counts, per-depth extension-critical
-    counts, and (optionally) the leaf density histogram. Depths below
-    the root are left at zero. The append-one test is evaluated at the
-    leaf depth only when leaf_ecrit is set.
+    is 0). Only nodes that can still reach a leaf with lo..hi ones are
+    visited. tally is (nodes, ecrit, hist), three lists of length n + 1
+    the walk adds to: visited nodes per depth, those among them that
+    cannot take a 1, and the leaf density histogram. ecrit[n] is counted
+    only with leaf_ecrit. With emit set the walk yields every leaf as a
+    packed int, 1-child first, so in descending lexicographic order;
+    otherwise it yields nothing.
     """
-    p = list(root_prefix)
-    m = len(p) - 1
+    nodes, ecrit, hist = tally
+    m = len(root_prefix) - 1
     if m > n:
         raise ValueError("root longer than requested depth")
-    nodes = [0] * (n + 1)
-    ecrit = [0] * (n + 1)
-    hist = [0] * (n + 1) if with_hist else None
-    pending: list[bool] = []
-    p_append = p.append
-    p_pop = p.pop
-    pending_append = pending.append
-    pending_pop = pending.pop
+    t = root_prefix[m]
+    if t > hi or t + n - m < lo:
+        return
+    # A slack lies in -1..n-1 on a prefix normal word; field k holds
+    # s(k) + g with g > n - 1, so s(k) >= 0 iff the field's top bit is set.
+    width = n.bit_length() + 1
+    g = 1 << width - 1
+    unit = [1 << width * i for i in range(n + 1)]
+    ones = list(accumulate(unit, initial=0))  # 1 in each of the first i fields
+    tops = [f << width - 1 for f in ones]
+    one_step = [f - g for f in ones]
+    zero_step = g - 1
+    # slack packs s(1..m); word holds w_k in field k; bits is the packed word.
+    slack = word = bits = 0
+    for i in range(1, m + 1):
+        b = root_prefix[i] - root_prefix[i - 1]
+        word += b * unit[i - 1]
+        bits |= b << i - 1
+        slack = (slack << width) + word - b * ones[i] + zero_step + b
+    if m == n:
+        nodes[n] += 1
+        hist[t] += 1
+        if leaf_ecrit and slack & tops[n] != tops[n]:
+            ecrit[n] += 1
+        if emit:
+            yield bits
+        return
+    last = n - 1
+    stack: list[tuple[int, int, int, int, bool, int]] = []
+    ok = False  # True when the verdict is inherited
     while True:
         nodes[m] += 1
-        ok = False
-        if m < n or leaf_ecrit:
-            total = p[m]
-            ok = True
-            for j in range(1, (m + 1) // 2 + 1):
-                if p[j] + p[m + 1 - j] <= total:
-                    ok = False
-                    break
+        if not ok:
+            ok = slack & tops[m] == tops[m]
             if not ok:
                 ecrit[m] += 1
-        if m < n:
-            if ok:
-                p_append(p[m] + 1)
-                pending_append(True)
-            else:
-                p_append(p[m])
-                pending_append(False)
-            m += 1
-            continue
-        if hist is not None:
-            hist[p[m]] += 1
-        while True:
-            if not pending:
-                return nodes, ecrit, hist
-            if pending[-1]:
-                pending[-1] = False
-                p[m] = p[m - 1]
-                break
-            pending_pop()
-            p_pop()
-            m -= 1
+        slack <<= width
+        if m == last:
+            if ok and t < hi:
+                nodes[n] += 1
+                hist[t + 1] += 1
+                if leaf_ecrit and (slack + word + unit[m] - one_step[n]) & tops[n] != tops[n]:
+                    ecrit[n] += 1
+                if emit:
+                    yield bits | 1 << m
+            if t >= lo:
+                nodes[n] += 1
+                hist[t] += 1
+                if leaf_ecrit and not (ok and m > 0) and (slack + word + zero_step) & tops[n] != tops[n]:
+                    ecrit[n] += 1
+                if emit:
+                    yield bits
+        else:
+            if t + last - m >= lo:
+                stack.append((m + 1, t, slack + word + zero_step, word, ok and m > 0, bits))
+            if ok and t < hi:
+                word += unit[m]
+                if emit:
+                    bits |= 1 << m
+                m += 1
+                t += 1
+                slack += word - one_step[m]
+                ok = False
+                continue
+        if not stack:
+            return
+        m, t, slack, word, ok, bits = stack.pop()
 
 
-def _walk_counts_task(args: tuple[tuple[int, ...], int, bool, bool]):
+def _walk_counts(root_prefix: Sequence[int], n: int, lo: int, hi: int, leaf_ecrit: bool) -> Tally:
+    """The tally of one counting walk (see _walk)."""
+    tally = _new_tally(n)
+    # A counting walk never yields: one next() runs it to the end.
+    next(_walk(root_prefix, n, lo, hi, leaf_ecrit, tally, False), None)
+    return tally
+
+
+def _walk_counts_task(args: tuple[Sequence[int], int, int, int, bool]) -> Tally:
     return _walk_counts(*args)
 
 
-def _collect_roots(depth: int) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
-    """Walk to a fixed depth: count the shallow nodes and their critical
-    states, and list the prefix-count arrays of the depth-`depth` words
-    in walk order."""
-    roots: list[tuple[int, ...]] = []
-    nodes = [0] * depth
-    ecrit = [0] * depth
-    p = [0]
-
-    def rec(m: int) -> None:
-        if m == depth:
-            roots.append(tuple(p))
-            return
-        nodes[m] += 1
-        total = p[m]
-        ok = all(p[j] + p[m + 1 - j] > total for j in range(1, (m + 1) // 2 + 1))
-        if ok:
-            p.append(total + 1)
-            rec(m + 1)
-            p.pop()
-        else:
-            ecrit[m] += 1
-        p.append(total)
-        rec(m + 1)
-        p.pop()
-
-    rec(0)
-    return roots, nodes, ecrit
+def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None, split_depth: int) -> Tally:
+    """The tally of the whole tree to depth n, forked into one task per
+    node at split_depth when more than one worker is available."""
+    workers = resolve_threads(threads)
+    if workers <= 1 or n <= split_depth + 1:
+        return _walk_counts((0,), n, lo, hi, leaf_ecrit)
+    # The shallow walk keeps the roots that can still reach the window:
+    # a root at split_depth may gain up to n - split_depth more ones.
+    shallow = _new_tally(split_depth)
+    roots = [
+        BinaryWord(bits, split_depth).prefix_counts(1)
+        for bits in _walk((0,), split_depth, max(0, lo - (n - split_depth)), hi, False, shallow, True)
+    ]
+    pad = [0] * (n + 1 - split_depth)
+    tally = (shallow[0][:split_depth] + pad, shallow[1][:split_depth] + pad, [0] * (n + 1))
+    tasks = [(root, n, lo, hi, leaf_ecrit) for root in roots]
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for sub in pool.map(_walk_counts_task, tasks, chunksize=chunk):
+            tally = tuple(list(map(add, total, part)) for total, part in zip(tally, sub))
+    return tally
 
 
 @dataclass(frozen=True)
@@ -182,25 +245,8 @@ def census(
     """Count 1-prefix-normal words (and critical words) for every length
     up to n in a single walk, forked across subtrees when threads > 1."""
     _guard_length(n, unsafe_large)
-    workers = resolve_threads(threads)
-    if workers <= 1 or n <= split_depth + 1:
-        nodes, ecrit, hist = _walk_counts((0,), n, include_leaf_ecrit, with_density)
-    else:
-        roots, nodes_shallow, ecrit_shallow = _collect_roots(split_depth)
-        nodes = nodes_shallow + [0] * (n + 1 - split_depth)
-        ecrit = ecrit_shallow + [0] * (n + 1 - split_depth)
-        hist = [0] * (n + 1) if with_density else None
-        tasks = [(root, n, include_leaf_ecrit, with_density) for root in roots]
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for sub_nodes, sub_ecrit, sub_hist in pool.map(_walk_counts_task, tasks, chunksize=chunk):
-                for i in range(split_depth, n + 1):
-                    nodes[i] += sub_nodes[i]
-                    ecrit[i] += sub_ecrit[i]
-                if hist is not None:
-                    for i in range(n + 1):
-                        hist[i] += sub_hist[i]
-    return Census(n, tuple(nodes), tuple(ecrit), tuple(hist) if hist is not None else None)
+    nodes, ecrit, hist = _fan_out(n, 0, n, include_leaf_ecrit, threads, split_depth)
+    return Census(n, tuple(nodes), tuple(ecrit), tuple(hist) if with_density else None)
 
 
 # ---------------------------------------------------------------------------
@@ -218,28 +264,10 @@ def enumerate_pn(n: int, x: int = 1, *, unsafe_large: bool = False) -> Iterator[
     if x not in (0, 1):
         raise ValueError(f"symbol must be 0 or 1, got {x!r}")
     _guard_length(n, unsafe_large)
-    p = [0]
-    bits: list[int] = []
-    gated, free = (1, 0) if x == 1 else (0, 1)
-
-    def rec(m: int) -> Iterator[BinaryWord]:
-        if m == n:
-            yield BinaryWord.from_bits(bits)
-            return
-        total = p[m]
-        if all(p[j] + p[m + 1 - j] > total for j in range(1, (m + 1) // 2 + 1)):
-            bits.append(gated)
-            p.append(total + 1)
-            yield from rec(m + 1)
-            bits.pop()
-            p.pop()
-        bits.append(free)
-        p.append(total)
-        yield from rec(m + 1)
-        bits.pop()
-        p.pop()
-
-    yield from rec(0)
+    # The 0-prefix-normal words are the complements of the 1-prefix-normal ones.
+    flip = 0 if x == 1 else (1 << n) - 1
+    for bits in _walk((0,), n, 0, n, False, _new_tally(n), True):
+        yield BinaryWord(bits ^ flip, n)
 
 
 def count_pnw(n: int, *, threads: int | None = None, unsafe_large: bool = False) -> int:
@@ -252,52 +280,15 @@ def count_ecrit(n: int, *, threads: int | None = None, unsafe_large: bool = Fals
     return census(n, include_leaf_ecrit=True, threads=threads, unsafe_large=unsafe_large).ecrit[n]
 
 
-def _count_density_walk(root_prefix: tuple[int, ...], n: int, d: int) -> int:
-    """Leaves at depth n with exactly d ones, under a 1-prefix-normal root."""
-    p = list(root_prefix)
-    m = len(p) - 1
-    if p[m] > d or p[m] + (n - m) < d:
-        return 0
-    count = 0
-    pending: list[bool] = []
-    while True:
-        if m == n:
-            if p[m] == d:
-                count += 1
-        else:
-            total = p[m]
-            can_one = total < d and all(
-                p[j] + p[m + 1 - j] > total for j in range(1, (m + 1) // 2 + 1)
-            )
-            can_zero = total + (n - m - 1) >= d
-            if can_one:
-                p.append(total + 1)
-                pending.append(can_zero)
-                m += 1
-                continue
-            if can_zero:
-                p.append(total)
-                pending.append(False)
-                m += 1
-                continue
-        while True:
-            if not pending:
-                return count
-            if pending[-1]:
-                pending[-1] = False
-                p[m] = p[m - 1]
-                break
-            pending.pop()
-            p.pop()
-            m -= 1
-
-
-def count_pnw_density(n: int, d: int, *, unsafe_large: bool = False) -> int:
-    """pnw(n, d): 1-prefix-normal words of length n with exactly d ones."""
+def count_pnw_density(
+    n: int, d: int, *, threads: int | None = None, unsafe_large: bool = False
+) -> int:
+    """pnw(n, d): 1-prefix-normal words of length n with exactly d ones,
+    forked across subtrees like census when threads > 1."""
     _guard_length(n, unsafe_large)
     if not 0 <= d <= n:
         raise ValueError(f"density {d} out of range 0..{n}")
-    return _count_density_walk((0,), n, d)
+    return _fan_out(n, d, d, False, threads, DEFAULT_SPLIT_DEPTH)[2][d]
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +461,7 @@ def expand_gf(d: int, order: int) -> tuple[int, ...]:
 
     Coefficient n is pnw(n, d). Closed forms are only known for d <= 6.
     """
-    if not 0 <= d <= GF_MAX_DENSITY:
-        raise ValueError(f"no closed generating function for density {d} (supported: 0..{GF_MAX_DENSITY})")
-    if not 0 <= order <= GF_ORDER_GUARD:
-        raise ScaleError(f"expansion order {order} out of range 0..{GF_ORDER_GUARD}")
-    num, den = _GF_TABLE[d]
-    return RationalSeries.expand(num, den, order).expansion
+    return gf_series(d, order).expansion
 
 
 def gf_series(d: int, order: int) -> RationalSeries:
@@ -508,13 +494,14 @@ def ext_count(
     _guard_length(total_len, unsafe_large)
     if not is_prefix_normal(w, 1):
         raise ContractError("ext_count requires a 1-prefix-normal base word")
-    prefix = tuple(w.prefix_counts(1))
+    prefix = w.prefix_counts(1)
     if d is None:
-        nodes, _, _ = _walk_counts(prefix, total_len, False, False)
-        return nodes[total_len]
+        return _walk_counts(prefix, total_len, 0, total_len, False)[0][total_len]
     if d < 0:
         raise ValueError("density must be non-negative")
-    return _count_density_walk(prefix, total_len, d)
+    if d > total_len:
+        return 0
+    return _walk_counts(prefix, total_len, d, d, False)[2][d]
 
 
 def ext_bijection_check(n: int, d: int, *, unsafe_large: bool = False) -> bool:
@@ -614,8 +601,21 @@ class BoundRow:
     lower_holds: bool
 
 
+def _census_to(max_n: int, given: Census | None, **options) -> Census:
+    """A census reaching max_n: the given one, else a new walk."""
+    if given is None:
+        return census(max_n, **options)
+    if given.n < max_n:
+        raise ContractError(f"census reaches length {given.n}, need {max_n}")
+    return given
+
+
 def bound_check(
-    max_n: int, *, threads: int | None = None, unsafe_large: bool = False
+    max_n: int,
+    *,
+    threads: int | None = None,
+    unsafe_large: bool = False,
+    census: Census | None = None,
 ) -> list[BoundRow]:
     """Compare pnw(n), 1 <= n <= max_n, against the asymptotic bounds
     2^(n - lg n + 1) (above) and 2^(n - 4 sqrt(n lg n)) (below).
@@ -623,11 +623,12 @@ def bound_check(
     Both bounds are "for n sufficiently large"; rows record where each
     holds, nothing more. The upper comparison is exact integer
     arithmetic (pnw(n) * n <= 2^(n+1)); the float columns are for
-    reporting.
+    reporting. An existing census reaching max_n is read instead of
+    walking again.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    counts = census(max_n, threads=threads, unsafe_large=unsafe_large).pnw
+    counts = _census_to(max_n, census, threads=threads, unsafe_large=unsafe_large).pnw
     rows = []
     for n in range(1, max_n + 1):
         pnw_n = counts[n]

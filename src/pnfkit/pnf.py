@@ -9,6 +9,7 @@ vectors of the factors of w exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import NamedTuple
 
 from .bitword import (
@@ -16,6 +17,7 @@ from .bitword import (
     OnesProfile,
     max_ones_profile,
     max_zeros_profile,
+    parse_word,
 )
 from .errors import ScaleError
 
@@ -46,15 +48,17 @@ class PnfPair:
         return f"PNF1={self.pnf1.to01()}\nPNF0={self.pnf0.to01()}\n"
 
 
+# Profile step (0 or 1) to the '0'/'1' symbol it stands for, indexed by
+# the symbol a step emits.
+_STEP_SYMBOLS = (bytes.maketrans(b"\x00\x01", b"10"), bytes.maketrans(b"\x00\x01", b"01"))
+
+
 def _difference_word(profile: OnesProfile, increment_symbol: int) -> BinaryWord:
     # Profile steps are 0 or 1; emit increment_symbol on a step, its
     # opposite otherwise.
     values = profile.values
-    bits = []
-    for k in range(1, len(values)):
-        stepped = values[k] == values[k - 1] + 1
-        bits.append(increment_symbol if stepped else 1 - increment_symbol)
-    return BinaryWord.from_bits(bits)
+    steps = bytes(map(sub, values[1:], values))
+    return parse_word(steps.translate(_STEP_SYMBOLS[increment_symbol]).decode("ascii"))
 
 
 def pnf1(w: BinaryWord, *, unsafe_large: bool = False) -> BinaryWord:

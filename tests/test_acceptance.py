@@ -57,8 +57,8 @@ def deep_census():
 
 
 @pytest.fixture(scope="module")
-def bounds_to_28():
-    return bound_check(28)
+def bounds_to_28(deep_census):
+    return bound_check(28, census=deep_census)
 
 
 def _timed(fn):

@@ -11,7 +11,14 @@ from pnfkit import (
     min_ones_profile,
     parse_word,
 )
-from conftest import all_words, factor_ones_counts, random_word, words_up_to
+from conftest import (
+    all_words,
+    bits_oracle,
+    factor_ones_counts,
+    pack_oracle,
+    random_word,
+    words_up_to,
+)
 
 REFERENCE_WORD = "1010011011000111001011"
 REFERENCE_F1 = (0, 1, 2, 3, 3, 4, 4, 4, 5, 6, 6, 7, 7, 7, 8, 8, 9, 10, 10, 10, 11, 11, 12)
@@ -197,3 +204,30 @@ class TestWordOps:
     def test_words_up_to_cover_all(self):
         seen = {w.to01() for w in words_up_to(3)}
         assert len(seen) == 1 + 2 + 4 + 8
+
+
+class TestLinearWordOps:
+    """Iteration, reversal and packing against bit-at-a-time oracles."""
+
+    @staticmethod
+    def assert_matches(w):
+        symbols = bits_oracle(w)
+        assert list(w) == symbols
+        assert w.reverse() == pack_oracle(symbols[::-1])
+        assert BinaryWord.from_bits(symbols) == w
+        assert BinaryWord.from_bits(tuple(symbols)) == w
+
+    def test_exhaustive_to_10(self):
+        for w in words_up_to(10):
+            self.assert_matches(w)
+
+    def test_long_words(self, rng):
+        for _ in range(5):
+            self.assert_matches(random_word(rng, 2000))
+        self.assert_matches(BinaryWord(0, 2000))
+        self.assert_matches(BinaryWord((1 << 2000) - 1, 2000))
+
+    @pytest.mark.parametrize("bad", [[0, 2], [1, -1], [0, 1, "1"], [None], [0, [1]], [0.5]])
+    def test_from_bits_rejects_other_values(self, bad):
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            BinaryWord.from_bits(bad)

@@ -22,8 +22,18 @@ from pnfkit import (
     separating_suffix,
     upper_bound_threshold,
 )
+from pnfkit import combinatorics
 from pnfkit.combinatorics import _pnf1_bits, gf_series, resolve_threads
-from conftest import all_words, window_scan_profile, word_from_steps, words_up_to
+from pnfkit.normality import can_append_one
+from conftest import (
+    all_words,
+    count_density_oracle,
+    enumerate_pn_oracle,
+    walk_counts_oracle,
+    window_scan_profile,
+    word_from_steps,
+    words_up_to,
+)
 
 KNOWN_PNW = [2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185, 7568]
 
@@ -148,6 +158,63 @@ class TestCounts:
     def test_complement_symmetry(self):
         for n in range(1, 13):
             assert sum(1 for _ in enumerate_pn(n, 0)) == count_pnw(n)
+
+
+class TestWalkKernel:
+    """The walk kernel against the plain walks it replaced, n <= 18."""
+
+    def test_census_arrays(self):
+        for n in range(19):
+            for leaf_ecrit in (False, True):
+                nodes, ecrit, hist = walk_counts_oracle((0,), n, leaf_ecrit, True)
+                c = census(n, include_leaf_ecrit=leaf_ecrit, with_density=True, threads=1)
+                assert c.pnw == tuple(nodes), (n, leaf_ecrit)
+                assert c.ecrit == tuple(ecrit), (n, leaf_ecrit)
+                assert c.by_density == tuple(hist), (n, leaf_ecrit)
+
+    def test_every_density(self):
+        for n in range(19):
+            for d in range(n + 1):
+                assert count_pnw_density(n, d, threads=1) == count_density_oracle((0,), n, d), (n, d)
+
+    @pytest.mark.parametrize("root", ["10", "110", "1101"])
+    def test_ext_count_from_roots(self, root):
+        w = parse_word(root)
+        prefix = tuple(w.prefix_counts(1))
+        for n in range(len(root), 19):
+            m = n - len(root)
+            assert ext_count(w, m) == walk_counts_oracle(prefix, n, False, False)[0][n], n
+            for d in range(n + 2):
+                assert ext_count(w, m, d) == count_density_oracle(prefix, n, d), (n, d)
+
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_enumeration_order(self, x):
+        for n in range(19):
+            assert list(enumerate_pn(n, x)) == list(enumerate_pn_oracle(n, x)), n
+
+    def test_zero_child_inherits_append_one(self):
+        # s_{m+1}(k) = s_m(k-1) + w_k for a 0-child: no slack shrinks, so
+        # the walk hands the parent's verdict to its 0-child untested.
+        for n in range(1, 15):
+            for w in enumerate_pn(n, 1):
+                if w.bit(1) == 1 and can_append_one(w):
+                    assert can_append_one(w + parse_word("0")), w
+
+    def test_window_prunes_to_reachable_nodes(self):
+        # With a window only nodes that can still reach it are visited;
+        # the histogram outside the window stays empty.
+        nodes, _, hist = combinatorics._walk_counts((0,), 12, 5, 7, False)
+        full = census(12, with_density=True, threads=1).by_density
+        assert hist == [0] * 5 + list(full[5:8]) + [0] * 5
+        assert nodes[12] == sum(full[5:8])
+        assert nodes[0] == 1
+        assert combinatorics._walk_counts((0, 1, 2), 12, 0, 1, False) == ([0] * 13,) * 3
+
+    @pytest.mark.parametrize("split", [4, 8, 12])
+    def test_density_fan_out_invariance(self, monkeypatch, split):
+        monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
+        for d in range(16):
+            assert count_pnw_density(15, d, threads=2) == count_pnw_density(15, d, threads=1), d
 
 
 class TestDensityCounts:
@@ -372,6 +439,13 @@ class TestBoundsAndRatios:
         assert by_n[8].upper_bound == pytest.approx(64.0)
         assert not by_n[8].upper_holds  # 70 > 64; the bound is asymptotic, small n exempt
         assert by_n[4].lower_bound < 1.0  # vacuous at small n
+
+    def test_reads_a_given_census(self):
+        c = census(18)
+        assert bound_check(16, census=c) == bound_check(16)
+        assert bound_check(18, census=c) == bound_check(18)
+        with pytest.raises(ContractError):
+            bound_check(19, census=c)
 
     def test_threshold(self):
         rows = bound_check(16)

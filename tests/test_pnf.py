@@ -19,7 +19,15 @@ from pnfkit import (
     pnf_pair,
     prefix_equivalent,
 )
-from conftest import all_words, random_word, window_scan_profile, word_from_steps, words_up_to
+from pnfkit.pnf import _difference_word
+from conftest import (
+    all_words,
+    pack_oracle,
+    random_word,
+    window_scan_profile,
+    word_from_steps,
+    words_up_to,
+)
 
 LONG = parse_word("1010011011000111001011")
 
@@ -124,6 +132,27 @@ class TestKernelMatchesWindowScan:
         w = shaped_word(shape, 2000)
         assert len(w) == (0 if shape == "empty" else 2000)
         self.assert_matches(w)
+
+
+class TestDifferenceWord:
+    """Normal forms packed in one pass against a bit-at-a-time packing."""
+
+    @staticmethod
+    def assert_matches(w):
+        for profile, symbol in ((max_ones_profile(w), 1), (max_zeros_profile(w), 0)):
+            v = profile.values
+            expected = pack_oracle(
+                [symbol if b > a else 1 - symbol for a, b in zip(v, v[1:])]
+            )
+            assert _difference_word(profile, symbol) == expected
+
+    def test_exhaustive_to_10(self):
+        for w in words_up_to(10):
+            self.assert_matches(w)
+
+    @pytest.mark.parametrize("shape", ["random", "sparse", "40-runs", "all-0", "all-1"])
+    def test_long_words(self, shape):
+        self.assert_matches(shaped_word(shape, 2000))
 
 
 class TestPrefixEquivalence:
