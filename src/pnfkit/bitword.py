@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import index, sub
 from typing import Iterator
 
 from .errors import ScaleError, WordParseError
@@ -26,7 +26,18 @@ MIN_ONES = "min_ones"
 # Byte tables mapping an ASCII '0'/'1' rendering to 0/1 indicators of
 # symbol x, indexed by x.
 _INDICATORS = (bytes.maketrans(b"01", b"\x01\x00"), bytes.maketrans(b"01", b"\x00\x01"))
-_BIT_CHARS = {0: "0", 1: "1"}
+_BIT_CHARS = ("0", "1")
+
+
+def _bit_char(b: int) -> str:
+    # index() admits ints (bools and numpy ints too), not floats or strings.
+    try:
+        i = index(b)
+    except TypeError:
+        i = -1
+    if i not in (0, 1):
+        raise ValueError(f"bit value {b!r} is not 0 or 1")
+    return _BIT_CHARS[i]
 
 
 class BinaryWord:
@@ -49,12 +60,9 @@ class BinaryWord:
 
     @classmethod
     def from_bits(cls, bits: "list[int] | tuple[int, ...]") -> "BinaryWord":
-        try:
-            text = "".join([_BIT_CHARS[b] for b in bits])
-        except (KeyError, TypeError):
-            bad = next(b for b in bits if b not in (0, 1))
-            raise ValueError(f"bit value {bad!r} is not 0 or 1") from None
-        return parse_word(text)
+        text = "".join(map(_bit_char, bits))
+        # Position 1 is the least significant bit.
+        return cls(int(text[::-1] or "0", 2), len(text))
 
     def __len__(self) -> int:
         return self._n

@@ -29,8 +29,9 @@ leaves are tested only when ecrit(n) is asked for, and the 0-leaf
 inherits its verdict as above.
 
 Counting walks may be forked at a fixed depth into independent subtree
-tasks; totals are exact integers summed in task order, so parallel and
-sequential runs are bit-identical.
+tasks, when the density window leaves enough work to repay starting
+the workers; totals are exact integers summed in task order, so
+parallel and sequential runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ CLASS_LISTING_GUARD = 8
 GF_MAX_DENSITY = 6
 GF_ORDER_GUARD = 200
 DEFAULT_SPLIT_DEPTH = 12
+_FORK_MIN_LEAVES = 1 << 17
 
 THREADS_ENV_VAR = "PNFKIT_THREADS"
 
@@ -197,20 +199,29 @@ def _walk_counts_task(args: tuple[Sequence[int], int, int, int, bool]) -> Tally:
 
 def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None, split_depth: int) -> Tally:
     """The tally of the whole tree to depth n, forked into one task per
-    node at split_depth when more than one worker is available."""
+    node at split_depth when more than one worker is available and the
+    window leaves enough work to repay starting them."""
     workers = resolve_threads(threads)
     if workers <= 1 or n <= split_depth + 1:
         return _walk_counts((0,), n, lo, hi, leaf_ecrit)
     # The shallow walk keeps the roots that can still reach the window:
     # a root at split_depth may gain up to n - split_depth more ones.
     shallow = _new_tally(split_depth)
-    roots = [
-        BinaryWord(bits, split_depth).prefix_counts(1)
-        for bits in _walk((0,), split_depth, max(0, lo - (n - split_depth)), hi, False, shallow, True)
+    depth = n - split_depth
+    roots = list(_walk((0,), split_depth, max(0, lo - depth), hi, False, shallow, True))
+    # Starting a pool costs tens of milliseconds, which a walk bounded by
+    # fewer than _FORK_MIN_LEAVES leaves does not repay at two workers:
+    # such a walk stays here. The leaves under a root with t ones are
+    # bounded by the ways of placing lo - t .. hi - t more ones below it.
+    reach = [
+        sum(math.comb(depth, k) for k in range(max(0, lo - t), min(hi - t, depth) + 1))
+        for t in range(split_depth + 1)
     ]
-    pad = [0] * (n + 1 - split_depth)
+    if sum(reach[bits.bit_count()] for bits in roots) < _FORK_MIN_LEAVES:
+        return _walk_counts((0,), n, lo, hi, leaf_ecrit)
+    pad = [0] * (depth + 1)
     tally = (shallow[0][:split_depth] + pad, shallow[1][:split_depth] + pad, [0] * (n + 1))
-    tasks = [(root, n, lo, hi, leaf_ecrit) for root in roots]
+    tasks = [(BinaryWord(bits, split_depth).prefix_counts(1), n, lo, hi, leaf_ecrit) for bits in roots]
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for sub in pool.map(_walk_counts_task, tasks, chunksize=chunk):
@@ -601,21 +612,8 @@ class BoundRow:
     lower_holds: bool
 
 
-def _census_to(max_n: int, given: Census | None, **options) -> Census:
-    """A census reaching max_n: the given one, else a new walk."""
-    if given is None:
-        return census(max_n, **options)
-    if given.n < max_n:
-        raise ContractError(f"census reaches length {given.n}, need {max_n}")
-    return given
-
-
 def bound_check(
-    max_n: int,
-    *,
-    threads: int | None = None,
-    unsafe_large: bool = False,
-    census: Census | None = None,
+    max_n: int, *, threads: int | None = None, unsafe_large: bool = False
 ) -> list[BoundRow]:
     """Compare pnw(n), 1 <= n <= max_n, against the asymptotic bounds
     2^(n - lg n + 1) (above) and 2^(n - 4 sqrt(n lg n)) (below).
@@ -623,15 +621,18 @@ def bound_check(
     Both bounds are "for n sufficiently large"; rows record where each
     holds, nothing more. The upper comparison is exact integer
     arithmetic (pnw(n) * n <= 2^(n+1)); the float columns are for
-    reporting. An existing census reaching max_n is read instead of
-    walking again.
+    reporting.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    counts = _census_to(max_n, census, threads=threads, unsafe_large=unsafe_large).pnw
+    return _bound_rows(census(max_n, threads=threads, unsafe_large=unsafe_large).pnw)
+
+
+def _bound_rows(pnw: Sequence[int]) -> list[BoundRow]:
+    """The bound_check rows for n = 1 .. len(pnw) - 1 of the counts pnw."""
     rows = []
-    for n in range(1, max_n + 1):
-        pnw_n = counts[n]
+    for n in range(1, len(pnw)):
+        pnw_n = pnw[n]
         upper = 2.0 ** (n - math.log2(n) + 1)
         lower = 2.0 ** (n - 4 * math.sqrt(n * math.log2(n)))
         rows.append(

@@ -227,7 +227,7 @@ class TestLinearWordOps:
         self.assert_matches(BinaryWord(0, 2000))
         self.assert_matches(BinaryWord((1 << 2000) - 1, 2000))
 
-    @pytest.mark.parametrize("bad", [[0, 2], [1, -1], [0, 1, "1"], [None], [0, [1]], [0.5]])
+    @pytest.mark.parametrize("bad", [[0, 2], [1, -1], [0, 1, "1"], [None], [0, [1]], [0.5], [1.0, 0], [1, 0.0]])
     def test_from_bits_rejects_other_values(self, bad):
         with pytest.raises(ValueError, match="is not 0 or 1"):
             BinaryWord.from_bits(bad)

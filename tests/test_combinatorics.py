@@ -23,7 +23,7 @@ from pnfkit import (
     upper_bound_threshold,
 )
 from pnfkit import combinatorics
-from pnfkit.combinatorics import _pnf1_bits, gf_series, resolve_threads
+from pnfkit.combinatorics import _bound_rows, _pnf1_bits, gf_series, resolve_threads
 from pnfkit.normality import can_append_one
 from conftest import (
     all_words,
@@ -124,12 +124,14 @@ class TestCounts:
         for n in range(1, 17):
             assert c.pnw[n] == 2 * c.pnw[n - 1] - c.ecrit[n - 1]
 
-    def test_parallel_census_equals_serial(self):
+    def test_parallel_census_equals_serial(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
         serial = census(15, include_leaf_ecrit=True, with_density=True, threads=1)
         forked = census(15, include_leaf_ecrit=True, with_density=True, threads=2)
         assert serial == forked
 
-    def test_split_depth_invariance(self):
+    def test_split_depth_invariance(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
         base = census(14, include_leaf_ecrit=True, with_density=True, threads=1)
         for split in (2, 5, 9):
             forked = census(
@@ -213,8 +215,27 @@ class TestWalkKernel:
     @pytest.mark.parametrize("split", [4, 8, 12])
     def test_density_fan_out_invariance(self, monkeypatch, split):
         monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
+        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
         for d in range(16):
             assert count_pnw_density(15, d, threads=2) == count_pnw_density(15, d, threads=1), d
+
+    def test_fork_only_for_enough_work(self, monkeypatch):
+        # A narrow window, or a shallow tree, walks in-process; a walk
+        # with enough leaves forks.
+        pools = []
+        real = combinatorics.ProcessPoolExecutor
+
+        def recording_pool(**options):
+            pools.append(options)
+            return real(**options)
+
+        monkeypatch.setattr(combinatorics, "ProcessPoolExecutor", recording_pool)
+        for d in (2, 5, 24, 27):
+            assert count_pnw_density(28, d, threads=2) == count_density_oracle((0,), 28, d)
+        assert census(16, threads=2).pnw[16] == 7568
+        assert pools == []
+        assert count_pnw_density(24, 10, threads=2) == count_density_oracle((0,), 24, 10)
+        assert pools == [{"max_workers": 2}]
 
 
 class TestDensityCounts:
@@ -440,12 +461,10 @@ class TestBoundsAndRatios:
         assert not by_n[8].upper_holds  # 70 > 64; the bound is asymptotic, small n exempt
         assert by_n[4].lower_bound < 1.0  # vacuous at small n
 
-    def test_reads_a_given_census(self):
-        c = census(18)
-        assert bound_check(16, census=c) == bound_check(16)
-        assert bound_check(18, census=c) == bound_check(18)
-        with pytest.raises(ContractError):
-            bound_check(19, census=c)
+    def test_rows_from_counts(self):
+        pnw = census(18).pnw
+        assert _bound_rows(pnw) == bound_check(18)
+        assert _bound_rows(pnw[:17]) == bound_check(16)
 
     def test_threshold(self):
         rows = bound_check(16)
