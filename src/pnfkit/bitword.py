@@ -263,27 +263,17 @@ def min_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> OnesProfil
 
 
 class RankDirectory:
-    """Cumulative ones-counts sampled at machine-word block boundaries.
+    """Ones-counts of every prefix of a word, so rank is one lookup.
 
-    One popcount over at most a block tail answers any rank query; the
-    directory adds n/64 stored counts on top of the word itself.
+    Built in one linear pass as the word's prefix_counts(1); it stores
+    n + 1 counts beside the word.
     """
 
-    BLOCK_SIZE = 64
-
-    __slots__ = ("word", "block_counts")
+    __slots__ = ("word", "_ones")
 
     def __init__(self, word: BinaryWord):
         self.word = word
-        counts = [0]
-        bits = word.packed
-        mask = (1 << self.BLOCK_SIZE) - 1
-        acc = 0
-        for _ in range(len(word) // self.BLOCK_SIZE):
-            acc += (bits & mask).bit_count()
-            counts.append(acc)
-            bits >>= self.BLOCK_SIZE
-        self.block_counts = tuple(counts)
+        self._ones = word.prefix_counts(1)
 
     def rank(self, x: int, i: int) -> int:
         """Occurrences of x in the prefix of length i, via the directory."""
@@ -291,9 +281,5 @@ class RankDirectory:
         n = len(self.word)
         if not 0 <= i <= n:
             raise IndexError(f"prefix length {i} out of range 0..{n}")
-        block, rem = divmod(i, self.BLOCK_SIZE)
-        ones = self.block_counts[block]
-        if rem:
-            tail = (self.word.packed >> (block * self.BLOCK_SIZE)) & ((1 << rem) - 1)
-            ones += tail.bit_count()
+        ones = self._ones[i]
         return ones if x == 1 else i - ones

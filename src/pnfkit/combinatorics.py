@@ -197,11 +197,12 @@ def _walk_counts_task(args: tuple[Sequence[int], int, int, int, bool]) -> Tally:
     return _walk_counts(*args)
 
 
-def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None, split_depth: int) -> Tally:
+def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) -> Tally:
     """The tally of the whole tree to depth n, forked into one task per
-    node at split_depth when more than one worker is available and the
-    window leaves enough work to repay starting them."""
+    node at DEFAULT_SPLIT_DEPTH when more than one worker is available
+    and the window leaves enough work to repay starting them."""
     workers = resolve_threads(threads)
+    split_depth = DEFAULT_SPLIT_DEPTH
     if workers <= 1 or n <= split_depth + 1:
         return _walk_counts((0,), n, lo, hi, leaf_ecrit)
     # The shallow walk keeps the roots that can still reach the window:
@@ -250,13 +251,12 @@ def census(
     include_leaf_ecrit: bool = False,
     with_density: bool = False,
     threads: int | None = None,
-    split_depth: int = DEFAULT_SPLIT_DEPTH,
     unsafe_large: bool = False,
 ) -> Census:
     """Count 1-prefix-normal words (and critical words) for every length
     up to n in a single walk, forked across subtrees when threads > 1."""
     _guard_length(n, unsafe_large)
-    nodes, ecrit, hist = _fan_out(n, 0, n, include_leaf_ecrit, threads, split_depth)
+    nodes, ecrit, hist = _fan_out(n, 0, n, include_leaf_ecrit, threads)
     return Census(n, tuple(nodes), tuple(ecrit), tuple(hist) if with_density else None)
 
 
@@ -299,7 +299,7 @@ def count_pnw_density(
     _guard_length(n, unsafe_large)
     if not 0 <= d <= n:
         raise ValueError(f"density {d} out of range 0..{n}")
-    return _fan_out(n, d, d, False, threads, DEFAULT_SPLIT_DEPTH)[2][d]
+    return _fan_out(n, d, d, False, threads)[2][d]
 
 
 # ---------------------------------------------------------------------------

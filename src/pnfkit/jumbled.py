@@ -2,18 +2,20 @@
 
 A query asks whether any factor of the indexed word has a given number
 of ones and zeros. Storing, per factor length k, the maximum and
-minimum ones-counts answers that in constant time; the two normal forms
-encode the same arrays, and rank queries over them give the second,
-equivalent query path.
+minimum ones-counts answers that in constant time. Those two arrays are
+the ones-prefix counts of the word's two normal forms, so the index is
+the pair of forms plus their prefix counts, derived once in O(n).
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
+from operator import gt
 from typing import BinaryIO
 
-from .bitword import MAX_ONES, MIN_ONES, BinaryWord, OnesProfile, RankDirectory
+from .bitword import MAX_ONES, MIN_ONES, BinaryWord, OnesProfile
 from .errors import IndexFormatError
 from .pnf import PnfPair, pnf_pair
 
@@ -22,20 +24,22 @@ MAGIC = b"PNFIX1"
 
 @dataclass(frozen=True)
 class JumbledIndex:
-    """Immutable query structure for one word; share freely across threads."""
+    """Immutable query structure for one word; share freely across threads.
+
+    fmax and fmin are the ones-prefix counts of pnf_pair.pnf1 and
+    pnf_pair.pnf0: the maximum- and minimum-ones profiles of the word.
+    """
 
     n: int
     fmax: OnesProfile
     fmin: OnesProfile
     pnf_pair: PnfPair
-    rank1_dir: RankDirectory
-    rank0_dir: RankDirectory
 
     def query(self, *, ones: int, zeros: int) -> bool:
         """Does some factor contain exactly this many ones and zeros?
 
-        Answered from the stored profiles. Totals longer than the word
-        answer False: no factor is that long.
+        Answered from the prefix counts of the two forms. Totals longer
+        than the word answer False: no factor is that long.
         """
         _check_counts(ones, zeros)
         k = ones + zeros
@@ -43,14 +47,9 @@ class JumbledIndex:
             return False
         return self.fmin[k] <= ones <= self.fmax[k]
 
-    def query_via_rank(self, *, ones: int, zeros: int) -> bool:
-        """Same contract as query, answered by two rank lookups on the
-        normal forms."""
-        _check_counts(ones, zeros)
-        k = ones + zeros
-        if k > self.n:
-            return False
-        return self.rank0_dir.rank(1, k) <= ones <= self.rank1_dir.rank(1, k)
+    # fmax[k] and fmin[k] are rank(1, k) on the two forms, so the rank
+    # lookup is the same lookup.
+    query_via_rank = query
 
 
 def _check_counts(ones: int, zeros: int) -> None:
@@ -59,19 +58,19 @@ def _check_counts(ones: int, zeros: int) -> None:
 
 
 def build_index(w: BinaryWord, *, unsafe_large: bool = False) -> JumbledIndex:
-    """Build the index: profiles, normal forms and rank directories.
+    """Build the index: the two normal forms and their prefix counts.
 
-    The profiles are read off the forms (fmax = prefix counts of PNF1,
-    fmin = prefix counts of PNF0), so each symbol costs one kernel pass.
+    Each form costs one kernel pass over the positions of the rarer symbol.
     """
-    pair = pnf_pair(w, unsafe_large=unsafe_large)
+    return _index_of(pnf_pair(w, unsafe_large=unsafe_large))
+
+
+def _index_of(pair: PnfPair) -> JumbledIndex:
     return JumbledIndex(
-        n=len(w),
+        n=len(pair.pnf1),
         fmax=OnesProfile(MAX_ONES, tuple(pair.pnf1.prefix_counts(1))),
         fmin=OnesProfile(MIN_ONES, tuple(pair.pnf0.prefix_counts(1))),
         pnf_pair=pair,
-        rank1_dir=RankDirectory(pair.pnf1),
-        rank0_dir=RankDirectory(pair.pnf0),
     )
 
 
@@ -111,17 +110,26 @@ def _unpack_word(data: bytes, n: int) -> BinaryWord:
     return BinaryWord(bits, n)
 
 
+def _profile_bytes(ix: JumbledIndex) -> bytes:
+    return struct.pack(f"<{2 * (ix.n + 1)}I", *ix.fmax.values, *ix.fmin.values)
+
+
 def dump_index(ix: JumbledIndex, fp: BinaryIO) -> None:
     fp.write(MAGIC)
     fp.write(struct.pack("<Q", ix.n))
     fp.write(_pack_word(ix.pnf_pair.pnf1))
     fp.write(_pack_word(ix.pnf_pair.pnf0))
-    fp.write(struct.pack(f"<{ix.n + 1}I", *ix.fmax.values))
-    fp.write(struct.pack(f"<{ix.n + 1}I", *ix.fmin.values))
+    fp.write(_profile_bytes(ix))
 
 
 def load_index(fp: BinaryIO) -> JumbledIndex:
-    """Read an index back, rejecting unknown or inconsistent files."""
+    """Read an index back from a seekable file, rejecting unknown or
+    inconsistent ones.
+
+    The stored length must match the bytes left in the file before any
+    of them is read, and the stored profiles must equal the prefix
+    counts of the stored forms.
+    """
     magic = fp.read(len(MAGIC))
     if magic != MAGIC:
         raise IndexFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -130,36 +138,22 @@ def load_index(fp: BinaryIO) -> JumbledIndex:
         raise IndexFormatError("truncated header")
     (n,) = struct.unpack("<Q", header)
     word_bytes = (n + 7) // 8
-    profile_bytes = 4 * (n + 1)
-    body = fp.read(2 * word_bytes + 2 * profile_bytes + 1)
-    if len(body) != 2 * word_bytes + 2 * profile_bytes:
+    here = fp.tell()
+    left = fp.seek(0, io.SEEK_END) - here
+    if left != 2 * word_bytes + 8 * (n + 1):
         raise IndexFormatError("file length does not match the stored word length")
-    pnf1 = _unpack_word(body[:word_bytes], n)
-    pnf0 = _unpack_word(body[word_bytes : 2 * word_bytes], n)
-    offset = 2 * word_bytes
-    fmax_vals = struct.unpack(f"<{n + 1}I", body[offset : offset + profile_bytes])
-    fmin_vals = struct.unpack(f"<{n + 1}I", body[offset + profile_bytes :])
-    ix = JumbledIndex(
-        n=n,
-        fmax=OnesProfile("max_ones", fmax_vals),
-        fmin=OnesProfile("min_ones", fmin_vals),
-        pnf_pair=PnfPair(pnf1, pnf0),
-        rank1_dir=RankDirectory(pnf1),
-        rank0_dir=RankDirectory(pnf0),
+    fp.seek(here)
+    body = fp.read(left)
+    ix = _index_of(
+        PnfPair(
+            _unpack_word(body[:word_bytes], n),
+            _unpack_word(body[word_bytes : 2 * word_bytes], n),
+        )
     )
-    _validate(ix)
+    if body[2 * word_bytes :] != _profile_bytes(ix):
+        raise IndexFormatError("stored profiles disagree with the normal forms")
+    if any(map(gt, ix.fmin.values, ix.fmax.values)):
+        raise IndexFormatError("minimum exceeds maximum profile")
+    if ix.fmax[n] != ix.fmin[n]:
+        raise IndexFormatError("the normal forms differ in their number of ones")
     return ix
-
-
-def _validate(ix: JumbledIndex) -> None:
-    p1 = ix.pnf_pair.pnf1.prefix_counts(1)
-    p0 = ix.pnf_pair.pnf0.prefix_counts(1)
-    for k in range(ix.n + 1):
-        if ix.fmax[k] != p1[k] or ix.fmin[k] != p0[k]:
-            raise IndexFormatError(f"profiles disagree with the normal forms at length {k}")
-        if ix.fmin[k] > ix.fmax[k]:
-            raise IndexFormatError(f"minimum exceeds maximum at length {k}")
-        if k and not 0 <= ix.fmax[k] - ix.fmax[k - 1] <= 1:
-            raise IndexFormatError(f"maximum profile step at length {k} is not 0 or 1")
-        if k and not 0 <= ix.fmin[k] - ix.fmin[k - 1] <= 1:
-            raise IndexFormatError(f"minimum profile step at length {k} is not 0 or 1")

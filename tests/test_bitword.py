@@ -1,3 +1,6 @@
+import statistics
+import time
+
 import pytest
 
 from pnfkit import (
@@ -96,6 +99,24 @@ class TestRankSelect:
             for i in range(n + 1):
                 assert directory.rank(1, i) == w.rank(1, i)
                 assert directory.rank(0, i) == w.rank(0, i)
+
+    def test_rank_time_does_not_grow_with_length(self, rng):
+        # Rank is one lookup: the median time of a batch of rank calls at
+        # n = 2^20 stays within 4x of the time at n = 2^12. Sizes are
+        # measured in turn so that machine drift hits both alike.
+        sizes = (1 << 12, 1 << 20)
+        directories = [RankDirectory(random_word(rng, n)) for n in sizes]
+        positions = [[rng.randrange(n + 1) for _ in range(2000)] for n in sizes]
+        times = ([], [])
+        for _ in range(15):
+            for directory, batch, runs in zip(directories, positions, times):
+                rank = directory.rank
+                start = time.perf_counter()
+                for i in batch:
+                    rank(1, i)
+                runs.append(time.perf_counter() - start)
+        small, large = map(statistics.median, times)
+        assert large <= 4 * small, (small, large)
 
 
 class TestProfiles:

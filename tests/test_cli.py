@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -123,6 +124,16 @@ class TestIndex:
         code, _, err = run(capsys, "index", "query", str(bad), "--ones", "1", "--zeros", "1")
         assert code == 1
         assert "magic" in err
+
+    @pytest.mark.parametrize("n", [2**63, 2**64 - 1])
+    def test_hostile_length_header_rejected(self, capsys, tmp_path, n):
+        # A 22-byte file whose header claims a huge word: rejected from
+        # the file size, before anything sized by n is read or allocated.
+        bad = tmp_path / "hostile.pnfix"
+        bad.write_bytes(b"PNFIX1" + struct.pack("<Q", n) + bytes(8))
+        code, out, err = run(capsys, "index", "query", str(bad), "--ones", "1", "--zeros", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEnum:

@@ -134,9 +134,8 @@ class TestCounts:
         monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
         base = census(14, include_leaf_ecrit=True, with_density=True, threads=1)
         for split in (2, 5, 9):
-            forked = census(
-                14, include_leaf_ecrit=True, with_density=True, threads=2, split_depth=split
-            )
+            monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
+            forked = census(14, include_leaf_ecrit=True, with_density=True, threads=2)
             assert forked == base, split
 
     def test_threads_env_caps_default(self, monkeypatch):

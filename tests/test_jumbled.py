@@ -1,4 +1,5 @@
 import io
+import struct
 
 import pytest
 
@@ -116,7 +117,7 @@ class TestQueries:
                 assert hits == set(range(ix.fmin[k], ix.fmax[k] + 1))
 
     def test_long_word_spot_checks(self, rng):
-        # multi-block rank directories and a word well past toy sizes
+        # a word well past toy sizes
         w = random_word(rng, 1500)
         ix = build_index(w)
         for _ in range(200):
@@ -180,3 +181,40 @@ class TestSerialization:
         data[-1] ^= 0x40
         with pytest.raises(IndexFormatError):
             load_index(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize(
+        "form1, form0, message",
+        [
+            # The PNF1 of 1001101 beside a PNF0 with one 1 fewer: fmin <=
+            # fmax holds, but every real index has fmax[n] == fmin[n] == |w|_1.
+            ("1101001", "0010011", "number of ones"),
+            # Equal density, but the minimum passes the maximum.
+            ("0011", "1100", "minimum exceeds maximum"),
+        ],
+    )
+    def test_inconsistent_forms_rejected(self, form1, form0, message):
+        # The stored profiles are those of exactly these forms.
+        pnf1, pnf0 = parse_word(form1), parse_word(form0)
+        n = len(pnf1)
+        data = (
+            b"PNFIX1"
+            + struct.pack("<Q", n)
+            + pnf1.packed.to_bytes(1, "little")
+            + pnf0.packed.to_bytes(1, "little")
+            + struct.pack(f"<{2 * (n + 1)}I", *pnf1.prefix_counts(1), *pnf0.prefix_counts(1))
+        )
+        with pytest.raises(IndexFormatError, match=message):
+            load_index(io.BytesIO(data))
+
+    @pytest.mark.parametrize("text", ["", "1001101", "1101100101110001"])
+    def test_every_truncation_and_byte_flip_rejected(self, text):
+        data = self.roundtrip(parse_word(text))
+        for cut in range(len(data)):
+            with pytest.raises(IndexFormatError):
+                load_index(io.BytesIO(data[:cut]))
+        for offset in range(len(data)):
+            for mask in range(1, 256):
+                bad = bytearray(data)
+                bad[offset] ^= mask
+                with pytest.raises(IndexFormatError):
+                    load_index(io.BytesIO(bytes(bad)))
