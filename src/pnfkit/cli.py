@@ -15,13 +15,7 @@ from typing import Sequence
 
 from . import combinatorics, jumbled, lyndon, normality, pnf
 from .bitword import BinaryWord, parse_word
-from .errors import (
-    ContractError,
-    IndexFormatError,
-    PnfkitError,
-    ScaleError,
-    WordParseError,
-)
+from .errors import PnfkitError, ScaleError, WordParseError
 
 WORD_ARG_CAP = 4096
 
@@ -397,26 +391,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, PnfkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WordParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCALE
-    except (ContractError, IndexFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except PnfkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ScaleError):
+            return EXIT_SCALE
+        if isinstance(exc, PnfkitError) and not isinstance(exc, WordParseError):
+            return EXIT_DOMAIN
         return EXIT_USAGE
 
 

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
 from typing import Iterator, Sequence
 
@@ -237,19 +238,19 @@ class Census:
     pnw[m] counts the 1-prefix-normal words of length m; ecrit[m] counts
     those whose 1-extension leaves the language. ecrit[n] is only
     meaningful when the census was taken with include_leaf_ecrit.
+    by_density[d] counts those of length n with d ones.
     """
 
     n: int
     pnw: tuple[int, ...]
     ecrit: tuple[int, ...]
-    by_density: tuple[int, ...] | None = None
+    by_density: tuple[int, ...]
 
 
 def census(
     n: int,
     *,
     include_leaf_ecrit: bool = False,
-    with_density: bool = False,
     threads: int | None = None,
     unsafe_large: bool = False,
 ) -> Census:
@@ -257,7 +258,7 @@ def census(
     up to n in a single walk, forked across subtrees when threads > 1."""
     _guard_length(n, unsafe_large)
     nodes, ecrit, hist = _fan_out(n, 0, n, include_leaf_ecrit, threads)
-    return Census(n, tuple(nodes), tuple(ecrit), tuple(hist) if with_density else None)
+    return Census(n, tuple(nodes), tuple(ecrit), tuple(hist))
 
 
 # ---------------------------------------------------------------------------
@@ -335,29 +336,35 @@ def class_statistics(
 
     Classes come out ordered by representative, descending
     lexicographically, matching the walk order of enumerate_pn(n, 1).
+    The scan reads v = 2^n - 1 down to 0 as words with position 1 in
+    the top bit, which is descending lexicographic order; the key is the
+    pnf1 of v's own packing, the reversed word, which has the same pnf1.
+    A class's pnf1 is its lexicographically largest member, since its
+    ones-prefix counts dominate every member's, so the classes enter the
+    dict in output order and each member list comes out sorted.
     """
     _guard_length(n, unsafe_large, guard=CLASS_SCAN_GUARD)
     if include_listing and n > CLASS_LISTING_GUARD and not unsafe_large:
         raise ScaleError(f"full class listing refused for length {n} > {CLASS_LISTING_GUARD}")
-    groups: dict[int, list[int]] = {}
-    for word_bits in range(1 << n):
-        groups.setdefault(_pnf1_bits(word_bits, n), []).append(word_bits)
-
-    def lex_key(bits: int) -> tuple[int, ...]:
-        return tuple((bits >> i) & 1 for i in range(n))
-
-    classes = []
-    for key in sorted(groups, key=lex_key, reverse=True):
-        members = groups[key]
-        listed = None
-        if include_listing:
-            listed = tuple(BinaryWord(b, n) for b in sorted(members, key=lex_key, reverse=True))
-        classes.append(EquivalenceClass(BinaryWord(key, n), len(members), listed))
+    words = range((1 << n) - 1, -1, -1)
+    members: dict[int, list[BinaryWord]] = {}
+    if include_listing:
+        for v in words:
+            members.setdefault(_pnf1_bits(v, n), []).append(BinaryWord(v, n).reverse())
+        sizes = {key: len(listed) for key, listed in members.items()}
+    else:
+        sizes = Counter(map(_pnf1_bits, words, repeat(n)))
+    classes = tuple(
+        EquivalenceClass(
+            BinaryWord(key, n), size, tuple(members[key]) if include_listing else None
+        )
+        for key, size in sizes.items()
+    )
     return ClassStatistics(
         n=n,
         class_count=len(classes),
-        max_class_size=max((c.size for c in classes), default=0),
-        classes=tuple(classes),
+        max_class_size=max(sizes.values(), default=0),
+        classes=classes,
     )
 
 
@@ -383,7 +390,6 @@ def enum_report(
     c = census(
         n,
         include_leaf_ecrit=True,
-        with_density=True,
         threads=threads,
         unsafe_large=unsafe_large,
     )

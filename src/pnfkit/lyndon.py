@@ -10,7 +10,8 @@ from .bitword import BinaryWord
 from .errors import ContractError, ScaleError
 from .normality import is_prefix_normal
 
-# Pre-necklace counting walks the full generation tree.
+# Pre-necklace counts are sums of Lyndon-word counts, O(n log n)
+# big-int steps; the guard is kept as a documented limit of the count.
 PRENECKLACE_COUNT_GUARD = 24
 
 
@@ -76,25 +77,18 @@ def count_prenecklaces(n: int, *, unsafe_large: bool = False) -> int:
         raise ValueError("length must be non-negative")
     if n > PRENECKLACE_COUNT_GUARD and not unsafe_large:
         raise ScaleError(
-            f"pre-necklace counting is exhaustive; refusing length {n} > {PRENECKLACE_COUNT_GUARD}"
+            f"pre-necklace counts are guarded; refusing length {n} > {PRENECKLACE_COUNT_GUARD}"
         )
     if n == 0:
         return 1
-    # Classical generation recursion: every node of this tree is a
-    # pre-necklace, extended by repeating its period or bumping a symbol.
-    a = [0] * (n + 1)
-    count = 0
-
-    def extend(t: int, p: int) -> None:
-        nonlocal count
-        if t > n:
-            count += 1
-            return
-        a[t] = a[t - p]
-        extend(t + 1, p)
-        if a[t - p] == 0:
-            a[t] = 1
-            extend(t + 1, t)
-
-    extend(1, 1)
-    return count
+    # Cutting u u u ... to n symbols maps the Lyndon words u of length at
+    # most n one-to-one onto the pre-necklaces of length n (u is the
+    # longest Lyndon prefix of the image). So the count is the sum of the
+    # Lyndon-word counts L(i), i = 1..n, from 2^i = sum of d * L(d), d | i.
+    lyndon = [0] * (n + 1)
+    divisor_terms = [0] * (n + 1)  # sum of d * L(d) over proper divisors d
+    for i in range(1, n + 1):
+        lyndon[i] = ((1 << i) - divisor_terms[i]) // i
+        for multiple in range(2 * i, n + 1, i):
+            divisor_terms[multiple] += i * lyndon[i]
+    return sum(lyndon)

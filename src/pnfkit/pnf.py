@@ -21,8 +21,8 @@ from .bitword import (
 )
 from .errors import ScaleError
 
-# The suffix-union construction materializes O(n^2) vectors; it exists
-# for cross-validation, not for long words.
+# A word of length n has O(n^2) factor Parikh vectors; the guard bounds
+# that output, not the work of finding it.
 PARIKH_SET_LENGTH_GUARD = 24
 
 
@@ -93,22 +93,23 @@ def prefix_equivalent(v: BinaryWord, w: BinaryWord, x: int = 1) -> bool:
 def parikh_set(w: BinaryWord, *, unsafe_large: bool = False) -> frozenset[ParikhVector]:
     """The set of Parikh vectors of all factors of w.
 
-    Computed as the union, over the suffixes of w, of the Parikh vectors
-    of the prefixes of each suffix. Guarded: quadratically many vectors.
+    Read off the two normal forms: the ones-counts of the length-k
+    factors are exactly the integers from PNF0's ones-prefix count at k
+    up to PNF1's. Guarded: quadratically many vectors.
     """
     n = len(w)
     if n > PARIKH_SET_LENGTH_GUARD and not unsafe_large:
         raise ScaleError(
             f"parikh_set holds O(n^2) vectors; refusing length {n} > {PARIKH_SET_LENGTH_GUARD}"
         )
-    vectors = {ParikhVector(0, 0)}
-    for start in range(1, n + 1):
-        ones = 0
-        for end in range(start, n + 1):
-            ones += w.bit(end)
-            length = end - start + 1
-            vectors.add(ParikhVector(zeros=length - ones, ones=ones))
-    return frozenset(vectors)
+    pair = pnf_pair(w, unsafe_large=unsafe_large)
+    fmax = pair.pnf1.prefix_counts(1)
+    fmin = pair.pnf0.prefix_counts(1)
+    return frozenset(
+        ParikhVector(zeros=k - ones, ones=ones)
+        for k in range(n + 1)
+        for ones in range(fmin[k], fmax[k] + 1)
+    )
 
 
 def parikh_set_bruteforce(w: BinaryWord) -> frozenset[ParikhVector]:

@@ -3,7 +3,8 @@ from itertools import accumulate
 
 import pytest
 
-from pnfkit import BinaryWord
+from pnfkit import BinaryWord, pnf1
+from pnfkit.combinatorics import ClassStatistics, EquivalenceClass
 
 
 def all_words(n):
@@ -162,6 +163,28 @@ def enumerate_pn_oracle(n, x=1):
         p.pop()
 
     yield from rec(0)
+
+
+def class_statistics_oracle(n):
+    """Prefix-equivalence classes of all words of length n with their
+    members: grouped by pnf1, keys and members sorted descending by the
+    tuple of symbols."""
+    groups = {}
+    for bits in range(1 << n):
+        groups.setdefault(pnf1(BinaryWord(bits, n)).packed, []).append(bits)
+
+    def lex_key(bits):
+        return tuple((bits >> i) & 1 for i in range(n))
+
+    classes = tuple(
+        EquivalenceClass(
+            BinaryWord(key, n),
+            len(groups[key]),
+            tuple(BinaryWord(b, n) for b in sorted(groups[key], key=lex_key, reverse=True)),
+        )
+        for key in sorted(groups, key=lex_key, reverse=True)
+    )
+    return ClassStatistics(n, len(classes), max(c.size for c in classes), classes)
 
 
 def word_from_steps(values, symbol):

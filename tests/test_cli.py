@@ -40,6 +40,12 @@ class TestPnf:
         assert code == 0
         assert out == "PNF1=1101001\n"
 
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "pnf", "--file", str(tmp_path / "absent.txt"))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_exactly_one_source(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("1\n")
@@ -252,6 +258,11 @@ class TestMisc:
     def test_prenecklaces(self, capsys):
         code, out, _ = run(capsys, "prenecklaces", "8")
         assert code == 0 and out == "71\n"
+
+    def test_prenecklaces_long_unsafe(self, capsys):
+        code, out, _ = run(capsys, "prenecklaces", "1200", "--unsafe-large")
+        assert code == 0
+        assert len(out.splitlines()) == 1 and int(out) > 0
 
     def test_unknown_flag_is_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

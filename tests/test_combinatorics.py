@@ -27,6 +27,7 @@ from pnfkit.combinatorics import _bound_rows, _pnf1_bits, gf_series, resolve_thr
 from pnfkit.normality import can_append_one
 from conftest import (
     all_words,
+    class_statistics_oracle,
     count_density_oracle,
     enumerate_pn_oracle,
     walk_counts_oracle,
@@ -126,16 +127,16 @@ class TestCounts:
 
     def test_parallel_census_equals_serial(self, monkeypatch):
         monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
-        serial = census(15, include_leaf_ecrit=True, with_density=True, threads=1)
-        forked = census(15, include_leaf_ecrit=True, with_density=True, threads=2)
+        serial = census(15, include_leaf_ecrit=True, threads=1)
+        forked = census(15, include_leaf_ecrit=True, threads=2)
         assert serial == forked
 
     def test_split_depth_invariance(self, monkeypatch):
         monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
-        base = census(14, include_leaf_ecrit=True, with_density=True, threads=1)
+        base = census(14, include_leaf_ecrit=True, threads=1)
         for split in (2, 5, 9):
             monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
-            forked = census(14, include_leaf_ecrit=True, with_density=True, threads=2)
+            forked = census(14, include_leaf_ecrit=True, threads=2)
             assert forked == base, split
 
     def test_threads_env_caps_default(self, monkeypatch):
@@ -168,7 +169,7 @@ class TestWalkKernel:
         for n in range(19):
             for leaf_ecrit in (False, True):
                 nodes, ecrit, hist = walk_counts_oracle((0,), n, leaf_ecrit, True)
-                c = census(n, include_leaf_ecrit=leaf_ecrit, with_density=True, threads=1)
+                c = census(n, include_leaf_ecrit=leaf_ecrit, threads=1)
                 assert c.pnw == tuple(nodes), (n, leaf_ecrit)
                 assert c.ecrit == tuple(ecrit), (n, leaf_ecrit)
                 assert c.by_density == tuple(hist), (n, leaf_ecrit)
@@ -205,7 +206,7 @@ class TestWalkKernel:
         # With a window only nodes that can still reach it are visited;
         # the histogram outside the window stays empty.
         nodes, _, hist = combinatorics._walk_counts((0,), 12, 5, 7, False)
-        full = census(12, with_density=True, threads=1).by_density
+        full = census(12, threads=1).by_density
         assert hist == [0] * 5 + list(full[5:8]) + [0] * 5
         assert nodes[12] == sum(full[5:8])
         assert nodes[0] == 1
@@ -249,7 +250,7 @@ class TestDensityCounts:
         assert dense == ["1110", "1101"]
 
     def test_histogram_consistency(self):
-        c = census(12, with_density=True)
+        c = census(12)
         assert sum(c.by_density) == c.pnw[12]
         for d in range(13):
             assert c.by_density[d] == count_pnw_density(12, d)
@@ -385,6 +386,10 @@ class TestClassStatistics:
         for w in words_up_to(12):
             expected = word_from_steps(window_scan_profile(w, 1), 1)
             assert _pnf1_bits(w.packed, len(w)) == expected.packed
+
+    def test_listing_matches_sorted_grouping(self):
+        for n in range(9):
+            assert class_statistics(n, include_listing=True) == class_statistics_oracle(n)
 
     def test_sizes_sum_to_power(self):
         for n in range(11):

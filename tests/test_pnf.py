@@ -202,13 +202,17 @@ class TestParikhSets:
         assert parikh_set(parse_word("1" * 25), unsafe_large=True)
 
     def test_interval_property(self):
-        # Per total length, the ones-counts present form one contiguous run.
+        # Per total length, the ones-counts of the factors form one
+        # contiguous run; parikh_set reads the runs off the two forms, so
+        # the property is checked on a direct scan of every factor.
         for n in range(15):
             for w in all_words(n):
+                prefix = w.prefix_counts(1)
                 by_total = {}
-                for vec in parikh_set(w):
-                    by_total.setdefault(vec.zeros + vec.ones, set()).add(vec.ones)
-                for total, ones_set in by_total.items():
+                for i in range(n):
+                    for j in range(i + 1, n + 1):
+                        by_total.setdefault(j - i, set()).add(prefix[j] - prefix[i])
+                for ones_set in by_total.values():
                     assert ones_set == set(range(min(ones_set), max(ones_set) + 1))
 
 
