@@ -7,7 +7,6 @@ packed representation never leaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import index, sub
 from typing import Iterator
@@ -18,10 +17,6 @@ from .errors import ScaleError, WordParseError
 # symbol, r = min(|w|_0, |w|_1), so O(n^2) in the worst case. Anything
 # past this length is refused rather than left to crawl.
 PROFILE_LENGTH_GUARD = 100_000
-
-MAX_ONES = "max_ones"
-MAX_ZEROS = "max_zeros"
-MIN_ONES = "min_ones"
 
 # Byte tables mapping an ASCII '0'/'1' rendering to 0/1 indicators of
 # symbol x, indexed by x.
@@ -171,35 +166,6 @@ def parse_word(text: str) -> BinaryWord:
     return BinaryWord(int(text[::-1] or "0", 2), len(text))
 
 
-@dataclass(frozen=True)
-class OnesProfile:
-    """Values of a maximum-ones, maximum-zeros or minimum-ones function.
-
-    values[k], for k = 0..n, is the extreme count over all length-k
-    factors of the profiled word.
-    """
-
-    kind: str
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in (MAX_ONES, MAX_ZEROS, MIN_ONES):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if not self.values or self.values[0] != 0:
-            raise ValueError("profile must start with values[0] = 0")
-
-    def __len__(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def to_csv(self) -> str:
-        """Comma-separated values with a leading k-range header line."""
-        n = len(self)
-        return f"k=0..{n}\n" + ",".join(str(v) for v in self.values) + "\n"
-
-
 def _guard_profile_length(n: int, unsafe_large: bool) -> None:
     if n > PROFILE_LENGTH_GUARD and not unsafe_large:
         raise ScaleError(
@@ -234,32 +200,32 @@ def _min_spans(bits: int, n: int) -> list[int]:
     return [k for k in range(1, n + 1) if k not in skipped]
 
 
-def _max_profile(kind: str, bits: int, n: int) -> OnesProfile:
+def _max_profile(bits: int, n: int) -> tuple[int, ...]:
     steps = bytearray(n + 1)
     for k in _min_spans(bits, n):
         steps[k] = 1
-    return OnesProfile(kind, tuple(accumulate(steps)))
+    return tuple(accumulate(steps))
 
 
-def max_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> OnesProfile:
-    """values[k] = largest ones-count over all length-k factors of w."""
+def max_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:
+    """f[k], k = 0..n: the largest ones-count over all length-k factors of w."""
     _guard_profile_length(len(w), unsafe_large)
-    return _max_profile(MAX_ONES, w.packed, len(w))
+    return _max_profile(w.packed, len(w))
 
 
-def max_zeros_profile(w: BinaryWord, *, unsafe_large: bool = False) -> OnesProfile:
-    """values[k] = largest zeros-count over all length-k factors of w."""
+def max_zeros_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:
+    """f[k], k = 0..n: the largest zeros-count over all length-k factors of w."""
     _guard_profile_length(len(w), unsafe_large)
-    return _max_profile(MAX_ZEROS, w.complement().packed, len(w))
+    return _max_profile(w.complement().packed, len(w))
 
 
-def min_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> OnesProfile:
-    """values[k] = smallest ones-count over all length-k factors of w.
+def min_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:
+    """f[k], k = 0..n: the smallest ones-count over all length-k factors of w.
 
     Computed through the identity min_ones(k) = k - max_zeros(k).
     """
     fz = max_zeros_profile(w, unsafe_large=unsafe_large)
-    return OnesProfile(MIN_ONES, tuple(k - v for k, v in enumerate(fz.values)))
+    return tuple(k - v for k, v in enumerate(fz))
 
 
 class RankDirectory:

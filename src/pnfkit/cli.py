@@ -164,6 +164,10 @@ def _cmd_index(args) -> int:
                 ones, zeros = int(ones_s), int(zeros_s)
             except ValueError:
                 raise _UsageError(f"{args.csvfile}:{lineno}: expected 'ones,zeros', got {line!r}")
+            if ones < 0 or zeros < 0:
+                raise _UsageError(
+                    f"{args.csvfile}:{lineno}: ones and zeros must be non-negative, got {line!r}"
+                )
             answer = ix.query(ones=ones, zeros=zeros)
             rows.append((ones, zeros, "yes" if answer else "no"))
     _emit(args, ["ones", "zeros", "answer"], rows, text_lines=[r[2] for r in rows])

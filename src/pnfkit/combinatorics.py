@@ -45,7 +45,7 @@ from itertools import accumulate, repeat
 from operator import add
 from typing import Iterator, Sequence
 
-from .bitword import BinaryWord, _min_spans
+from .bitword import BinaryWord, _check_symbol, _min_spans
 from .errors import ContractError, PnfkitError, ScaleError
 from .normality import is_prefix_normal
 
@@ -194,10 +194,6 @@ def _walk_counts(root_prefix: Sequence[int], n: int, lo: int, hi: int, leaf_ecri
     return tally
 
 
-def _walk_counts_task(args: tuple[Sequence[int], int, int, int, bool]) -> Tally:
-    return _walk_counts(*args)
-
-
 def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) -> Tally:
     """The tally of the whole tree to depth n, forked into one task per
     node at DEFAULT_SPLIT_DEPTH when more than one worker is available
@@ -226,7 +222,7 @@ def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) ->
     tasks = [(BinaryWord(bits, split_depth).prefix_counts(1), n, lo, hi, leaf_ecrit) for bits in roots]
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for sub in pool.map(_walk_counts_task, tasks, chunksize=chunk):
+        for sub in pool.map(_walk_counts, *zip(*tasks), chunksize=chunk):
             tally = tuple(list(map(add, total, part)) for total, part in zip(tally, sub))
     return tally
 
@@ -273,8 +269,7 @@ def enumerate_pn(n: int, x: int = 1, *, unsafe_large: bool = False) -> Iterator[
     descending lexicographic for x = 1 (1111, 1110, ..., 1000, 0000 at
     n = 4) and ascending for x = 0.
     """
-    if x not in (0, 1):
-        raise ValueError(f"symbol must be 0 or 1, got {x!r}")
+    _check_symbol(x)
     _guard_length(n, unsafe_large)
     # The 0-prefix-normal words are the complements of the 1-prefix-normal ones.
     flip = 0 if x == 1 else (1 << n) - 1
@@ -282,14 +277,14 @@ def enumerate_pn(n: int, x: int = 1, *, unsafe_large: bool = False) -> Iterator[
         yield BinaryWord(bits ^ flip, n)
 
 
-def count_pnw(n: int, *, threads: int | None = None, unsafe_large: bool = False) -> int:
+def count_pnw(n: int, *, unsafe_large: bool = False) -> int:
     """pnw(n): the number of 1-prefix-normal words of length n."""
-    return census(n, threads=threads, unsafe_large=unsafe_large).pnw[n]
+    return census(n, unsafe_large=unsafe_large).pnw[n]
 
 
-def count_ecrit(n: int, *, threads: int | None = None, unsafe_large: bool = False) -> int:
+def count_ecrit(n: int, *, unsafe_large: bool = False) -> int:
     """ecrit(n): 1-prefix-normal words of length n that cannot take a 1."""
-    return census(n, include_leaf_ecrit=True, threads=threads, unsafe_large=unsafe_large).ecrit[n]
+    return census(n, include_leaf_ecrit=True, unsafe_large=unsafe_large).ecrit[n]
 
 
 def count_pnw_density(
@@ -384,15 +379,9 @@ def enum_report(
     n: int,
     *,
     with_classes: bool = False,
-    threads: int | None = None,
     unsafe_large: bool = False,
 ) -> EnumReport:
-    c = census(
-        n,
-        include_leaf_ecrit=True,
-        threads=threads,
-        unsafe_large=unsafe_large,
-    )
+    c = census(n, include_leaf_ecrit=True, unsafe_large=unsafe_large)
     class_count = max_class_size = None
     if with_classes:
         stats = class_statistics(n, unsafe_large=unsafe_large)
@@ -618,9 +607,7 @@ class BoundRow:
     lower_holds: bool
 
 
-def bound_check(
-    max_n: int, *, threads: int | None = None, unsafe_large: bool = False
-) -> list[BoundRow]:
+def bound_check(max_n: int, *, unsafe_large: bool = False) -> list[BoundRow]:
     """Compare pnw(n), 1 <= n <= max_n, against the asymptotic bounds
     2^(n - lg n + 1) (above) and 2^(n - 4 sqrt(n lg n)) (below).
 
@@ -631,7 +618,7 @@ def bound_check(
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    return _bound_rows(census(max_n, threads=threads, unsafe_large=unsafe_large).pnw)
+    return _bound_rows(census(max_n, unsafe_large=unsafe_large).pnw)
 
 
 def _bound_rows(pnw: Sequence[int]) -> list[BoundRow]:
@@ -675,14 +662,12 @@ class RatioRow:
     ecrit_ratio_scaled: float
 
 
-def ratio_series(
-    max_n: int, *, threads: int | None = None, unsafe_large: bool = False
-) -> list[RatioRow]:
+def ratio_series(max_n: int, *, unsafe_large: bool = False) -> list[RatioRow]:
     """Plot-data rows: pnw(n)/pnw(n-1), ecrit(n)/pnw(n) and the latter
     rescaled by n/ln n (NaN at n = 1 where ln n vanishes)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    c = census(max_n, include_leaf_ecrit=True, threads=threads, unsafe_large=unsafe_large)
+    c = census(max_n, include_leaf_ecrit=True, unsafe_large=unsafe_large)
     rows = []
     for n in range(1, max_n + 1):
         ecrit_ratio = c.ecrit[n] / c.pnw[n]

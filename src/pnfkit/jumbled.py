@@ -4,7 +4,8 @@ A query asks whether any factor of the indexed word has a given number
 of ones and zeros. Storing, per factor length k, the maximum and
 minimum ones-counts answers that in constant time. Those two arrays are
 the ones-prefix counts of the word's two normal forms, so the index is
-the pair of forms plus their prefix counts, derived once in O(n).
+the pair of forms plus their prefix counts, two tuples of n + 1 counts
+derived once in O(n).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from operator import gt
 from typing import BinaryIO
 
-from .bitword import MAX_ONES, MIN_ONES, BinaryWord, OnesProfile
+from .bitword import BinaryWord
 from .errors import IndexFormatError
 from .pnf import PnfPair, pnf_pair
 
@@ -26,13 +27,14 @@ MAGIC = b"PNFIX1"
 class JumbledIndex:
     """Immutable query structure for one word; share freely across threads.
 
-    fmax and fmin are the ones-prefix counts of pnf_pair.pnf1 and
-    pnf_pair.pnf0: the maximum- and minimum-ones profiles of the word.
+    fmax and fmin are tuples of n + 1 counts, the ones-prefix counts of
+    pnf_pair.pnf1 and pnf_pair.pnf0: the maximum- and minimum-ones
+    profiles of the word.
     """
 
     n: int
-    fmax: OnesProfile
-    fmin: OnesProfile
+    fmax: tuple[int, ...]
+    fmin: tuple[int, ...]
     pnf_pair: PnfPair
 
     def query(self, *, ones: int, zeros: int) -> bool:
@@ -68,8 +70,8 @@ def build_index(w: BinaryWord, *, unsafe_large: bool = False) -> JumbledIndex:
 def _index_of(pair: PnfPair) -> JumbledIndex:
     return JumbledIndex(
         n=len(pair.pnf1),
-        fmax=OnesProfile(MAX_ONES, tuple(pair.pnf1.prefix_counts(1))),
-        fmin=OnesProfile(MIN_ONES, tuple(pair.pnf0.prefix_counts(1))),
+        fmax=tuple(pair.pnf1.prefix_counts(1)),
+        fmin=tuple(pair.pnf0.prefix_counts(1)),
         pnf_pair=pair,
     )
 
@@ -111,7 +113,7 @@ def _unpack_word(data: bytes, n: int) -> BinaryWord:
 
 
 def _profile_bytes(ix: JumbledIndex) -> bytes:
-    return struct.pack(f"<{2 * (ix.n + 1)}I", *ix.fmax.values, *ix.fmin.values)
+    return struct.pack(f"<{2 * (ix.n + 1)}I", *ix.fmax, *ix.fmin)
 
 
 def dump_index(ix: JumbledIndex, fp: BinaryIO) -> None:
@@ -152,7 +154,7 @@ def load_index(fp: BinaryIO) -> JumbledIndex:
     )
     if body[2 * word_bytes :] != _profile_bytes(ix):
         raise IndexFormatError("stored profiles disagree with the normal forms")
-    if any(map(gt, ix.fmin.values, ix.fmax.values)):
+    if any(map(gt, ix.fmin, ix.fmax)):
         raise IndexFormatError("minimum exceeds maximum profile")
     if ix.fmax[n] != ix.fmin[n]:
         raise IndexFormatError("the normal forms differ in their number of ones")

@@ -18,18 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitword import BinaryWord, max_ones_profile
+from .bitword import BinaryWord, _check_symbol, max_ones_profile
 from .errors import ContractError
 
 
 def is_prefix_normal(w: BinaryWord, x: int = 1, *, unsafe_large: bool = False) -> bool:
     """True iff no factor of w has more x's than the prefix of equal length."""
+    _check_symbol(x)
     if x == 0:
         w = w.complement()
-    elif x != 1:
-        raise ValueError(f"symbol must be 0 or 1, got {x!r}")
-    profile = max_ones_profile(w, unsafe_large=unsafe_large)
-    return tuple(w.prefix_counts(1)) == profile.values
+    return tuple(w.prefix_counts(1)) == max_ones_profile(w, unsafe_large=unsafe_large)
 
 
 def check_subadditive_char(w: BinaryWord) -> bool:

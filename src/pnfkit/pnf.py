@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .bitword import (
     BinaryWord,
-    OnesProfile,
+    _check_symbol,
     max_ones_profile,
     max_zeros_profile,
     parse_word,
@@ -53,11 +53,10 @@ class PnfPair:
 _STEP_SYMBOLS = (bytes.maketrans(b"\x00\x01", b"10"), bytes.maketrans(b"\x00\x01", b"01"))
 
 
-def _difference_word(profile: OnesProfile, increment_symbol: int) -> BinaryWord:
+def _difference_word(profile: tuple[int, ...], increment_symbol: int) -> BinaryWord:
     # Profile steps are 0 or 1; emit increment_symbol on a step, its
     # opposite otherwise.
-    values = profile.values
-    steps = bytes(map(sub, values[1:], values))
+    steps = bytes(map(sub, profile[1:], profile))
     return parse_word(steps.translate(_STEP_SYMBOLS[increment_symbol]).decode("ascii"))
 
 
@@ -81,13 +80,11 @@ def prefix_equivalent(v: BinaryWord, w: BinaryWord, x: int = 1) -> bool:
     Words of different lengths are never equivalent (the profiles have
     different domains).
     """
+    _check_symbol(x)
     if len(v) != len(w):
         return False
-    if x == 1:
-        return max_ones_profile(v) == max_ones_profile(w)
-    if x == 0:
-        return max_zeros_profile(v) == max_zeros_profile(w)
-    raise ValueError(f"symbol must be 0 or 1, got {x!r}")
+    profile = max_ones_profile if x == 1 else max_zeros_profile
+    return profile(v) == profile(w)
 
 
 def parikh_set(w: BinaryWord, *, unsafe_large: bool = False) -> frozenset[ParikhVector]:

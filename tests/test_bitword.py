@@ -5,7 +5,6 @@ import pytest
 
 from pnfkit import (
     BinaryWord,
-    OnesProfile,
     RankDirectory,
     ScaleError,
     WordParseError,
@@ -121,20 +120,20 @@ class TestRankSelect:
 
 class TestProfiles:
     def test_reference_max_ones(self):
-        assert max_ones_profile(parse_word(REFERENCE_WORD)).values == REFERENCE_F1
+        assert max_ones_profile(parse_word(REFERENCE_WORD)) == REFERENCE_F1
 
     def test_reference_max_zeros(self):
-        assert max_zeros_profile(parse_word(REFERENCE_WORD)).values == REFERENCE_F0
+        assert max_zeros_profile(parse_word(REFERENCE_WORD)) == REFERENCE_F0
 
     def test_short_examples(self):
-        assert max_ones_profile(parse_word("1001101")).values == (0, 1, 2, 2, 3, 3, 3, 4)
-        assert max_zeros_profile(parse_word("1001101")).values == (0, 1, 2, 2, 2, 3, 3, 3)
-        assert max_ones_profile(parse_word("0000")).values == (0, 0, 0, 0, 0)
-        assert max_zeros_profile(parse_word("1111")).values == (0, 0, 0, 0, 0)
+        assert max_ones_profile(parse_word("1001101")) == (0, 1, 2, 2, 3, 3, 3, 4)
+        assert max_zeros_profile(parse_word("1001101")) == (0, 1, 2, 2, 2, 3, 3, 3)
+        assert max_ones_profile(parse_word("0000")) == (0, 0, 0, 0, 0)
+        assert max_zeros_profile(parse_word("1111")) == (0, 0, 0, 0, 0)
 
     def test_min_ones_examples(self):
-        assert min_ones_profile(parse_word("1001101")).values == (0, 0, 0, 1, 2, 2, 3, 4)
-        assert min_ones_profile(parse_word("1111")).values == (0, 1, 2, 3, 4)
+        assert min_ones_profile(parse_word("1001101")) == (0, 0, 0, 1, 2, 2, 3, 4)
+        assert min_ones_profile(parse_word("1111")) == (0, 1, 2, 3, 4)
         # length-8 factors of the reference word reach down to 8 - 5 = 3 ones
         w = parse_word(REFERENCE_WORD)
         assert min_ones_profile(w)[8] == 3
@@ -154,7 +153,7 @@ class TestProfiles:
         # F1(j) - F1(i) <= F1(j - i), all words up to length 14
         for n in range(15):
             for w in all_words(n):
-                f = max_ones_profile(w).values
+                f = max_ones_profile(w)
                 for j in range(n + 1):
                     for i in range(j + 1):
                         assert f[j] - f[i] <= f[j - i]
@@ -162,7 +161,7 @@ class TestProfiles:
     def test_subadditivity_random_longer(self, rng):
         for _ in range(20):
             w = random_word(rng, rng.randrange(40, 80))
-            f = max_ones_profile(w).values
+            f = max_ones_profile(w)
             n = len(w)
             for j in range(n + 1):
                 for i in range(j + 1):
@@ -171,8 +170,7 @@ class TestProfiles:
     def test_step_property(self, rng):
         for _ in range(30):
             w = random_word(rng, rng.randrange(0, 30))
-            for profile in (max_ones_profile(w), max_zeros_profile(w)):
-                v = profile.values
+            for v in (max_ones_profile(w), max_zeros_profile(w)):
                 assert all(v[k] - v[k - 1] in (0, 1) for k in range(1, len(w) + 1))
 
     def test_min_plus_maxzeros_identity(self, rng):
@@ -186,18 +184,12 @@ class TestProfiles:
         for _ in range(30):
             w = random_word(rng, rng.randrange(0, 25))
             assert max_ones_profile(w) == max_ones_profile(w.reverse())
-            assert max_ones_profile(w.complement()) == OnesProfile(
-                "max_ones", max_zeros_profile(w).values
-            )
+            assert max_ones_profile(w.complement()) == max_zeros_profile(w)
 
     def test_length_guard(self):
         w = BinaryWord(0, 100_001)
         with pytest.raises(ScaleError):
             max_ones_profile(w)
-
-    def test_csv_serialization(self):
-        profile = max_ones_profile(parse_word("101"))
-        assert profile.to_csv() == "k=0..3\n0,1,1,2\n"
 
 
 class TestWordOps:

@@ -124,6 +124,18 @@ class TestIndex:
         )
         assert out.splitlines() == ["ones,zeros,answer", "3,2,yes", "0,3,no", "4,0,no"]
 
+    @pytest.mark.parametrize("row", ["-1,2", "2,-1"])
+    def test_query_batch_negative_count_names_row(self, capsys, tmp_path, row):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        queries = tmp_path / "queries.csv"
+        queries.write_text(f"3,2\n{row}\n")
+        code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {queries}:2: ") and err.count("\n") == 1
+
     def test_corrupt_index_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.pnfix"
         bad.write_bytes(b"NOTMAGIC")

@@ -21,18 +21,18 @@ from conftest import all_words, random_word
 class TestBuild:
     def test_reference_profiles(self):
         ix = build_index(parse_word("1001101"))
-        assert ix.fmax.values == (0, 1, 2, 2, 3, 3, 3, 4)
-        assert ix.fmin.values == (0, 0, 0, 1, 2, 2, 3, 4)
+        assert ix.fmax == (0, 1, 2, 2, 3, 3, 3, 4)
+        assert ix.fmin == (0, 0, 0, 1, 2, 2, 3, 4)
 
     def test_empty(self):
         ix = build_index(parse_word(""))
         assert ix.n == 0
-        assert ix.fmax.values == (0,)
-        assert ix.fmin.values == (0,)
+        assert ix.fmax == (0,)
+        assert ix.fmin == (0,)
 
     def test_all_ones(self):
         ix = build_index(parse_word("1111"))
-        assert ix.fmax.values == ix.fmin.values == (0, 1, 2, 3, 4)
+        assert ix.fmax == ix.fmin == (0, 1, 2, 3, 4)
 
     def test_profiles_come_from_normal_forms(self, rng):
         for _ in range(25):

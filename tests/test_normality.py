@@ -9,6 +9,7 @@ from pnfkit import (
     enumerate_pn,
     is_prefix_normal,
     parse_word,
+    prefix_equivalent,
 )
 from conftest import all_words, random_word
 
@@ -30,6 +31,19 @@ class TestDefinitionDecider:
         assert is_prefix_normal(parse_word("0011011"), 0)
         assert not is_prefix_normal(parse_word("1100110"), 0)
         assert is_prefix_normal(parse_word("1111"), 0)
+
+    @pytest.mark.parametrize("x", [2, -1, "1"])
+    def test_symbol_rejected_with_one_message(self, x):
+        w = parse_word("1001101")
+        calls = (
+            lambda: is_prefix_normal(w, x),
+            lambda: prefix_equivalent(w, w, x),
+            lambda: next(enumerate_pn(4, x)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"symbol must be 0 or 1, got {x!r}"
 
 
 class TestCharacterizations:

@@ -117,8 +117,8 @@ class TestKernelMatchesWindowScan:
     def assert_matches(w):
         f1 = window_scan_profile(w, 1)
         f0 = window_scan_profile(w, 0)
-        assert max_ones_profile(w).values == f1
-        assert max_zeros_profile(w).values == f0
+        assert max_ones_profile(w) == f1
+        assert max_zeros_profile(w) == f0
         assert pnf_pair(w) == PnfPair(word_from_steps(f1, 1), word_from_steps(f0, 0))
 
     def test_exhaustive_to_12(self):
@@ -139,12 +139,11 @@ class TestDifferenceWord:
 
     @staticmethod
     def assert_matches(w):
-        for profile, symbol in ((max_ones_profile(w), 1), (max_zeros_profile(w), 0)):
-            v = profile.values
+        for v, symbol in ((max_ones_profile(w), 1), (max_zeros_profile(w), 0)):
             expected = pack_oracle(
                 [symbol if b > a else 1 - symbol for a, b in zip(v, v[1:])]
             )
-            assert _difference_word(profile, symbol) == expected
+            assert _difference_word(v, symbol) == expected
 
     def test_exhaustive_to_10(self):
         for w in words_up_to(10):
