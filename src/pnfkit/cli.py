@@ -25,18 +25,14 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read_word(args: argparse.Namespace) -> BinaryWord:
     """Resolve the word from exactly one input source."""
     given = sum((args.word is not None, args.file is not None, bool(args.stdin)))
     if given != 1:
-        raise _UsageError("provide exactly one word source: WORD, --file or --stdin")
+        raise ValueError("provide exactly one word source: WORD, --file or --stdin")
     if args.word is not None:
         if len(args.word) > WORD_ARG_CAP:
-            raise _UsageError(
+            raise ValueError(
                 f"word argument longer than {WORD_ARG_CAP} symbols; use --file or --stdin"
             )
         text = args.word
@@ -84,28 +80,19 @@ def _cmd_pnf(args) -> int:
     unsafe = args.unsafe_large
     if args.bit == "both":
         pair = pnf.pnf_pair(w, unsafe_large=unsafe)
-        _emit(
-            args,
-            ["word", "pnf1", "pnf0"],
-            [(w.to01(), pair.pnf1.to01(), pair.pnf0.to01())],
-            text_lines=pair.serialize().splitlines(),
-        )
+        forms = {"pnf1": pair.pnf1, "pnf0": pair.pnf0}
     elif args.bit == "1":
-        u = pnf.pnf1(w, unsafe_large=unsafe)
-        _emit(args, ["word", "pnf1"], [(w.to01(), u.to01())], text_lines=[f"PNF1={u.to01()}"])
+        forms = {"pnf1": pnf.pnf1(w, unsafe_large=unsafe)}
     else:
-        u = pnf.pnf0(w, unsafe_large=unsafe)
-        _emit(args, ["word", "pnf0"], [(w.to01(), u.to01())], text_lines=[f"PNF0={u.to01()}"])
+        forms = {"pnf0": pnf.pnf0(w, unsafe_large=unsafe)}
+    texts = {name: u.to01() for name, u in forms.items()}
+    _emit(
+        args,
+        ["word", *texts],
+        [(w.to01(), *texts.values())],
+        text_lines=[f"{name.upper()}={text}" for name, text in texts.items()],
+    )
     return EXIT_OK
-
-
-_METHODS = {
-    "def": lambda w: normality.is_prefix_normal(w, 1),
-    "subadd": normality.check_subadditive_char,
-    "pos": normality.check_factor_pos_char,
-    "possuper": normality.check_pos_superadditive_char,
-    "gaps": normality.check_gap_inequalities,
-}
 
 
 def _cmd_check(args) -> int:
@@ -114,7 +101,7 @@ def _cmd_check(args) -> int:
     # the complement.
     target = w if args.bit == "1" else w.complement()
     if args.method == "all":
-        verdicts = {name: fn(target) for name, fn in _METHODS.items()}
+        verdicts = normality.all_deciders(target)
         rows = [(w.to01(), name, ok) for name, ok in verdicts.items()]
         lines = [f"{name}: {'normal' if ok else 'not normal'}" for name, ok in verdicts.items()]
         _emit(args, ["word", "method", "normal"], rows, text_lines=lines)
@@ -122,7 +109,7 @@ def _cmd_check(args) -> int:
             print("error: the deciders disagree; this is a bug", file=sys.stderr)
             return EXIT_DOMAIN
         return EXIT_OK
-    ok = _METHODS[args.method](target)
+    ok = normality.DECIDERS[args.method](target)
     _emit(
         args,
         ["word", "method", "normal"],
@@ -163,9 +150,9 @@ def _cmd_index(args) -> int:
                 ones_s, zeros_s = line.split(",")
                 ones, zeros = int(ones_s), int(zeros_s)
             except ValueError:
-                raise _UsageError(f"{args.csvfile}:{lineno}: expected 'ones,zeros', got {line!r}")
+                raise ValueError(f"{args.csvfile}:{lineno}: expected 'ones,zeros', got {line!r}")
             if ones < 0 or zeros < 0:
-                raise _UsageError(
+                raise ValueError(
                     f"{args.csvfile}:{lineno}: ones and zeros must be non-negative, got {line!r}"
                 )
             answer = ix.query(ones=ones, zeros=zeros)
@@ -176,9 +163,13 @@ def _cmd_index(args) -> int:
 
 def _cmd_enum(args) -> int:
     unsafe = args.unsafe_large
+    if args.members and not args.classes:
+        raise ValueError("--members lists class members; it needs --classes")
+    if args.classes and args.bit == "0":
+        raise ValueError("--classes groups words by their PNF1; --bit 0 does not apply")
     if args.ratios is not None:
         if args.n is not None:
-            raise _UsageError("--ratios replaces the length argument; drop N")
+            raise ValueError("--ratios replaces the length argument; drop N")
         rows = combinatorics.ratio_series(args.ratios, unsafe_large=unsafe)
         _emit(
             args,
@@ -187,7 +178,7 @@ def _cmd_enum(args) -> int:
         )
         return EXIT_OK
     if args.n is None:
-        raise _UsageError("enum needs a length N (or --ratios N)")
+        raise ValueError("enum needs a length N (or --ratios N)")
     n = args.n
     bit = int(args.bit)
     if args.count_only:
@@ -329,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bit", choices=["0", "1"], default="1")
     p.add_argument(
         "--method",
-        choices=["def", "subadd", "pos", "possuper", "gaps", "all"],
+        choices=[*normality.DECIDERS, "all"],
         default="def",
         help="decision route; 'all' runs the five routes and verifies agreement",
     )
@@ -352,12 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("enum", help="enumerate or count prefix normal words")
     p.add_argument("n", nargs="?", type=int, default=None)
     p.add_argument("--bit", choices=["0", "1"], default="1")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--density", type=int, default=None, help="count words with this many of the chosen bit")
-    p.add_argument("--ecrit", action="store_true", help="count extension-critical words")
-    p.add_argument("--classes", action="store_true", help="prefix-equivalence class statistics")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--count-only", action="store_true")
+    mode.add_argument("--density", type=int, default=None, help="count words with this many of the chosen bit")
+    mode.add_argument("--ecrit", action="store_true", help="count extension-critical words")
+    mode.add_argument("--classes", action="store_true", help="prefix-equivalence class statistics")
+    mode.add_argument("--ratios", type=int, default=None, metavar="N", help="growth/critical ratio series for 1..N")
     p.add_argument("--members", action="store_true", help="with --classes: list class members (n <= 8)")
-    p.add_argument("--ratios", type=int, default=None, metavar="N", help="growth/critical ratio series for 1..N")
     p.set_defaults(fn=_cmd_enum)
 
     p = add_parser("parikh", help="list the Parikh set of a word (factor compositions)")
@@ -395,7 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (_UsageError, PnfkitError, ValueError, OSError) as exc:
+    except (PnfkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ScaleError):
             return EXIT_SCALE

@@ -363,32 +363,6 @@ def class_statistics(
     )
 
 
-@dataclass(frozen=True)
-class EnumReport:
-    """Census record for one length."""
-
-    n: int
-    pnw: int
-    ecrit: int
-    by_density: tuple[int, ...]
-    class_count: int | None = None
-    max_class_size: int | None = None
-
-
-def enum_report(
-    n: int,
-    *,
-    with_classes: bool = False,
-    unsafe_large: bool = False,
-) -> EnumReport:
-    c = census(n, include_leaf_ecrit=True, unsafe_large=unsafe_large)
-    class_count = max_class_size = None
-    if with_classes:
-        stats = class_statistics(n, unsafe_large=unsafe_large)
-        class_count, max_class_size = stats.class_count, stats.max_class_size
-    return EnumReport(n, c.pnw[n], c.ecrit[n], c.by_density, class_count, max_class_size)
-
-
 # ---------------------------------------------------------------------------
 # Generating functions for fixed density
 # ---------------------------------------------------------------------------
@@ -433,51 +407,28 @@ _GF_TABLE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    """A rational generating function and its expansion to some order.
-
-    The denominator has constant term 1, so the coefficients follow the
-    linear recurrence den (*) expansion = num, solved in exact integers.
-    """
-
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
-    expansion: tuple[int, ...]
-
-    @classmethod
-    def expand(
-        cls, numerator: tuple[int, ...], denominator: tuple[int, ...], order: int
-    ) -> "RationalSeries":
-        if not denominator or denominator[0] == 0:
-            raise ValueError("denominator must have a nonzero constant term")
-        if denominator[0] != 1:
-            raise ValueError("expansion in exact integers needs constant term 1")
-        coeffs = []
-        for k in range(order + 1):
-            value = numerator[k] if k < len(numerator) else 0
-            for i in range(1, min(k, len(denominator) - 1) + 1):
-                value -= denominator[i] * coeffs[k - i]
-            coeffs.append(value)
-        return cls(numerator, denominator, tuple(coeffs))
-
-
 def expand_gf(d: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of the density-d counting series.
 
     Coefficient n is pnw(n, d). Closed forms are only known for d <= 6.
+    Every denominator in _GF_TABLE has constant term 1, so the
+    coefficients follow the linear recurrence den (*) expansion = num,
+    solved in exact integers.
     """
-    return gf_series(d, order).expansion
-
-
-def gf_series(d: int, order: int) -> RationalSeries:
-    """The full rational-series record behind expand_gf."""
     if not 0 <= d <= GF_MAX_DENSITY:
         raise ValueError(f"no closed generating function for density {d} (supported: 0..{GF_MAX_DENSITY})")
-    if not 0 <= order <= GF_ORDER_GUARD:
+    if order < 0:
+        raise ValueError(f"expansion order must be non-negative, got {order}")
+    if order > GF_ORDER_GUARD:
         raise ScaleError(f"expansion order {order} out of range 0..{GF_ORDER_GUARD}")
     num, den = _GF_TABLE[d]
-    return RationalSeries.expand(num, den, order)
+    coeffs: list[int] = []
+    for k in range(order + 1):
+        value = num[k] if k < len(num) else 0
+        for i in range(1, min(k, len(den) - 1) + 1):
+            value -= den[i] * coeffs[k - i]
+        coeffs.append(value)
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ operations here provide the lexicographic side of that comparison.
 
 from __future__ import annotations
 
-from .bitword import BinaryWord
+from .bitword import BinaryWord, parse_word
 from .errors import ContractError, ScaleError
 from .normality import is_prefix_normal
 
@@ -52,7 +52,7 @@ def is_prenecklace_bruteforce(w: BinaryWord) -> bool:
     s = w.to01()
     for p in range(1, n + 1):
         root = s[:p]
-        if s == (root * n)[:n] and is_lyndon(BinaryWord.from_bits([int(c) for c in root])):
+        if s == (root * n)[:n] and is_lyndon(parse_word(root)):
             return True
     return False
 

@@ -2,14 +2,15 @@
 
 A word is 1-prefix-normal when no factor contains more 1s than the
 prefix of the same length (0-prefix-normal: swap the roles of 1 and 0).
-Five independent routes decide the property; they must always agree:
+Five independent routes decide the property, registered in DECIDERS
+under these keys; they must always agree:
 
-  * definition:       prefix counts equal the max profile at every length
-  * subadditive:      P(j) - P(i) <= P(j-i) for all 0 <= i <= j <= n
-  * factor-pos:       every factor with i ones has length >= pos(i)
-  * pos-superadditive: pos(i) + pos(j) - 1 <= pos(i+j-1)
-  * gap inequalities: windowed sums of the 1-gap decomposition dominate
-                      its prefix sums
+  * def:      prefix counts equal the max profile at every length
+  * subadd:   P(j) - P(i) <= P(j-i) for all 0 <= i <= j <= n
+  * pos:      every factor with i ones has length >= pos(i)
+  * possuper: pos(i) + pos(j) - 1 <= pos(i+j-1)
+  * gaps:     windowed sums of the 1-gap decomposition dominate its
+              prefix sums
 
 The incremental append-one test used by enumeration lives here too.
 """
@@ -129,15 +130,18 @@ def check_gap_inequalities(w: BinaryWord) -> bool:
     return True
 
 
+DECIDERS = {
+    "def": is_prefix_normal,
+    "subadd": check_subadditive_char,
+    "pos": check_factor_pos_char,
+    "possuper": check_pos_superadditive_char,
+    "gaps": check_gap_inequalities,
+}
+
+
 def all_deciders(w: BinaryWord) -> dict[str, bool]:
     """Run all five decision routes for 1-prefix-normality."""
-    return {
-        "definition": is_prefix_normal(w, 1),
-        "subadditive": check_subadditive_char(w),
-        "factor_pos": check_factor_pos_char(w),
-        "pos_superadditive": check_pos_superadditive_char(w),
-        "gaps": check_gap_inequalities(w),
-    }
+    return {name: decide(w) for name, decide in DECIDERS.items()}
 
 
 def can_append_one(w: BinaryWord) -> bool:

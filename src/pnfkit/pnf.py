@@ -40,13 +40,6 @@ class PnfPair:
     pnf1: BinaryWord
     pnf0: BinaryWord
 
-    @property
-    def source_length(self) -> int:
-        return len(self.pnf1)
-
-    def serialize(self) -> str:
-        return f"PNF1={self.pnf1.to01()}\nPNF0={self.pnf0.to01()}\n"
-
 
 # Profile step (0 or 1) to the '0'/'1' symbol it stands for, indexed by
 # the symbol a step emits.
@@ -130,11 +123,3 @@ def parikh_set_equal(v: BinaryWord, w: BinaryWord) -> bool:
     if len(v) != len(w):
         return False
     return pnf1(v) == pnf1(w) and pnf0(v) == pnf0(w)
-
-
-def parikh_set_csv(vectors: frozenset[ParikhVector]) -> str:
-    """CSV serialization, one "zeros,ones" row per vector."""
-    lines = ["zeros,ones"]
-    for vec in sorted(vectors):
-        lines.append(f"{vec.zeros},{vec.ones}")
-    return "\n".join(lines) + "\n"

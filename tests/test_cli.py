@@ -193,6 +193,64 @@ class TestEnum:
         code, _, err = run(capsys, "enum", "4", "--ratios", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "modes",
+        [
+            ("--count-only", "--classes"),
+            ("--count-only", "--ecrit"),
+            ("--density", "3", "--classes"),
+            ("--ecrit", "--ratios", "3"),
+        ],
+    )
+    def test_modes_are_exclusive(self, capsys, modes):
+        with pytest.raises(SystemExit) as exc:
+            main(["enum", "8", *modes])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_members_needs_classes(self, capsys):
+        code, out, err = run(capsys, "enum", "4", "--members")
+        assert code == 2 and out == ""
+        assert "--classes" in err
+
+    def test_classes_refuse_bit_zero(self, capsys):
+        code, out, err = run(capsys, "enum", "4", "--classes", "--bit", "0")
+        assert code == 2 and out == ""
+        assert "--bit 0" in err
+
+    LENGTH4_CLASSES = [
+        ("1111", 1, "1111"),
+        ("1110", 2, "1110 0111"),
+        ("1101", 2, "1101 1011"),
+        ("1100", 3, "1100 0110 0011"),
+        ("1010", 2, "1010 0101"),
+        ("1001", 1, "1001"),
+        ("1000", 4, "1000 0100 0010 0001"),
+        ("0000", 1, "0000"),
+    ]
+
+    def test_members_text(self, capsys):
+        code, out, _ = run(capsys, "enum", "4", "--classes", "--members")
+        assert code == 0
+        assert out.splitlines() == ["8 classes, max size 4"] + [
+            f"{rep}  {size}  {members}" for rep, size, members in self.LENGTH4_CLASSES
+        ]
+
+    def test_members_csv(self, capsys):
+        code, out, _ = run(capsys, "--format", "csv", "enum", "4", "--classes", "--members")
+        assert code == 0
+        assert out.splitlines() == ["representative,size,members"] + [
+            f"{rep},{size},{members}" for rep, size, members in self.LENGTH4_CLASSES
+        ]
+
+    def test_members_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "enum", "4", "--classes", "--members")
+        assert code == 0
+        assert json.loads(out) == [
+            {"representative": rep, "size": size, "members": members}
+            for rep, size, members in self.LENGTH4_CLASSES
+        ]
+
     def test_scale_guard_exit_3(self, capsys):
         code, _, err = run(capsys, "enum", "31", "--count-only")
         assert code == 3
@@ -253,6 +311,15 @@ class TestMisc:
         assert code == 0
         coeffs = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert coeffs == [0, 0, 0, 0, 1, 3, 6, 11, 18, 27, 39]
+
+    def test_gf_negative_order_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gf", "2", "-1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_gf_order_guard_not_lifted(self, capsys):
+        code, out, _ = run(capsys, "gf", "2", "201", "--unsafe-large")
+        assert code == 3 and out == ""
 
     def test_ext_bijection(self, capsys):
         code, out, _ = run(capsys, "ext", "10", "7", "4")

