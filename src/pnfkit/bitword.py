@@ -11,7 +11,7 @@ from itertools import accumulate
 from operator import index, sub
 from typing import Iterator
 
-from .errors import ScaleError, WordParseError
+from .errors import WordParseError, check_scale
 
 # A profile costs O(r^2) C-level steps over the positions of the rarer
 # symbol, r = min(|w|_0, |w|_1), so O(n^2) in the worst case. Anything
@@ -166,14 +166,6 @@ def parse_word(text: str) -> BinaryWord:
     return BinaryWord(int(text[::-1] or "0", 2), len(text))
 
 
-def _guard_profile_length(n: int, unsafe_large: bool) -> None:
-    if n > PROFILE_LENGTH_GUARD and not unsafe_large:
-        raise ScaleError(
-            f"profile computation is quadratic; refusing length {n} > {PROFILE_LENGTH_GUARD} "
-            "(pass unsafe_large=True to override)"
-        )
-
-
 def _min_spans(bits: int, n: int) -> list[int]:
     """Shortest factor length holding t ones, for t = 1..(ones in the word).
 
@@ -209,13 +201,13 @@ def _max_profile(bits: int, n: int) -> tuple[int, ...]:
 
 def max_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:
     """f[k], k = 0..n: the largest ones-count over all length-k factors of w."""
-    _guard_profile_length(len(w), unsafe_large)
+    check_scale("profile length", len(w), PROFILE_LENGTH_GUARD, unsafe_large)
     return _max_profile(w.packed, len(w))
 
 
 def max_zeros_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:
     """f[k], k = 0..n: the largest zeros-count over all length-k factors of w."""
-    _guard_profile_length(len(w), unsafe_large)
+    check_scale("profile length", len(w), PROFILE_LENGTH_GUARD, unsafe_large)
     return _max_profile(w.complement().packed, len(w))
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Sequence
 
 from . import combinatorics, jumbled, lyndon, normality, pnf
 from .bitword import BinaryWord, parse_word
-from .errors import PnfkitError, ScaleError, WordParseError
+from .errors import PnfkitError, ScaleError, WordParseError, check_scale
 
 WORD_ARG_CAP = 4096
 
@@ -97,11 +98,15 @@ def _cmd_pnf(args) -> int:
 
 def _cmd_check(args) -> int:
     w = _read_word(args)
+    unsafe = args.unsafe_large
+    if args.method != "def":
+        check_scale("characterisation length", len(w), normality.CHARACTERISATION_GUARD, unsafe)
+    deciders = {**normality.DECIDERS, "def": partial(normality.is_prefix_normal, unsafe_large=unsafe)}
     # The characterizations decide 1-normality; for bit 0 run them on
     # the complement.
     target = w if args.bit == "1" else w.complement()
     if args.method == "all":
-        verdicts = normality.all_deciders(target)
+        verdicts = {name: decide(target) for name, decide in deciders.items()}
         rows = [(w.to01(), name, ok) for name, ok in verdicts.items()]
         lines = [f"{name}: {'normal' if ok else 'not normal'}" for name, ok in verdicts.items()]
         _emit(args, ["word", "method", "normal"], rows, text_lines=lines)
@@ -109,7 +114,7 @@ def _cmd_check(args) -> int:
             print("error: the deciders disagree; this is a bug", file=sys.stderr)
             return EXIT_DOMAIN
         return EXIT_OK
-    ok = normality.DECIDERS[args.method](target)
+    ok = deciders[args.method](target)
     _emit(
         args,
         ["word", "method", "normal"],

@@ -46,7 +46,7 @@ from operator import add
 from typing import Iterator, Sequence
 
 from .bitword import BinaryWord, _check_symbol, _min_spans
-from .errors import ContractError, PnfkitError, ScaleError
+from .errors import ContractError, PnfkitError, check_scale
 from .normality import is_prefix_normal
 
 ENUM_LENGTH_GUARD = 30
@@ -60,11 +60,10 @@ _FORK_MIN_LEAVES = 1 << 17
 THREADS_ENV_VAR = "PNFKIT_THREADS"
 
 
-def _guard_length(n: int, unsafe_large: bool, guard: int = ENUM_LENGTH_GUARD) -> None:
+def _guard_length(n: int, unsafe_large: bool) -> None:
     if n < 0:
         raise ValueError("length must be non-negative")
-    if n > guard and not unsafe_large:
-        raise ScaleError(f"exhaustive enumeration refused for length {n} > {guard}")
+    check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -338,9 +337,11 @@ def class_statistics(
     ones-prefix counts dominate every member's, so the classes enter the
     dict in output order and each member list comes out sorted.
     """
-    _guard_length(n, unsafe_large, guard=CLASS_SCAN_GUARD)
-    if include_listing and n > CLASS_LISTING_GUARD and not unsafe_large:
-        raise ScaleError(f"full class listing refused for length {n} > {CLASS_LISTING_GUARD}")
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    check_scale("class scan length", n, CLASS_SCAN_GUARD, unsafe_large)
+    if include_listing:
+        check_scale("class listing length", n, CLASS_LISTING_GUARD, unsafe_large)
     words = range((1 << n) - 1, -1, -1)
     members: dict[int, list[BinaryWord]] = {}
     if include_listing:
@@ -368,42 +369,16 @@ def class_statistics(
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
-def _one_minus_xk(k: int) -> tuple[int, ...]:
-    coeffs = [0] * (k + 1)
-    coeffs[0] = 1
-    coeffs[k] = -1
-    return tuple(coeffs)
-
-
-def _x_power(k: int) -> tuple[int, ...]:
-    return tuple([0] * k + [1])
-
-
-def _denominator(factors: list[int]) -> tuple[int, ...]:
-    den: tuple[int, ...] = (1,)
-    for k in factors:
-        den = _poly_mul(den, _one_minus_xk(k))
-    return den
-
-
-# Rational forms of the fixed-density counting series, densities 0..6.
+# Rational forms of the fixed-density counting series, densities 0..6:
+# (numerator coefficients, the k of each denominator factor 1 - x^k).
 _GF_TABLE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    0: ((1,), _denominator([1])),
-    1: (_x_power(1), _denominator([1])),
-    2: (_x_power(2), _denominator([1, 1])),
-    3: (_x_power(3), _denominator([2, 1, 1])),
-    4: (_x_power(4), _denominator([3, 1, 1, 1])),
-    5: (_poly_mul(_x_power(5), (1, 1, 1)), _denominator([4, 2, 2, 1, 1])),
-    6: (_poly_mul(_x_power(6), (1, 1, 1, 1)), _denominator([5, 3, 2, 1, 1, 1])),
+    0: ((1,), (1,)),
+    1: ((0, 1), (1,)),
+    2: ((0, 0, 1), (1, 1)),
+    3: ((0, 0, 0, 1), (2, 1, 1)),
+    4: ((0, 0, 0, 0, 1), (3, 1, 1, 1)),
+    5: ((0, 0, 0, 0, 0, 1, 1, 1), (4, 2, 2, 1, 1)),
+    6: ((0, 0, 0, 0, 0, 0, 1, 1, 1, 1), (5, 3, 2, 1, 1, 1)),
 }
 
 
@@ -411,23 +386,20 @@ def expand_gf(d: int, order: int) -> tuple[int, ...]:
     """Coefficients 0..order of the density-d counting series.
 
     Coefficient n is pnw(n, d). Closed forms are only known for d <= 6.
-    Every denominator in _GF_TABLE has constant term 1, so the
-    coefficients follow the linear recurrence den (*) expansion = num,
-    solved in exact integers.
+    The numerator is divided by each factor 1 - x^k in turn, exactly in
+    integers: that division is a running sum with stride k.
     """
     if not 0 <= d <= GF_MAX_DENSITY:
         raise ValueError(f"no closed generating function for density {d} (supported: 0..{GF_MAX_DENSITY})")
     if order < 0:
         raise ValueError(f"expansion order must be non-negative, got {order}")
-    if order > GF_ORDER_GUARD:
-        raise ScaleError(f"expansion order {order} out of range 0..{GF_ORDER_GUARD}")
-    num, den = _GF_TABLE[d]
-    coeffs: list[int] = []
-    for k in range(order + 1):
-        value = num[k] if k < len(num) else 0
-        for i in range(1, min(k, len(den) - 1) + 1):
-            value -= den[i] * coeffs[k - i]
-        coeffs.append(value)
+    # The order guard is fixed: unsafe_large does not lift it.
+    check_scale("series order", order, GF_ORDER_GUARD, False)
+    num, factors = _GF_TABLE[d]
+    coeffs = (list(num) + [0] * (order + 1))[: order + 1]
+    for k in factors:
+        for i in range(k, order + 1):
+            coeffs[i] += coeffs[i - k]
     return tuple(coeffs)
 
 

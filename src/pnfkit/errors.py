@@ -18,11 +18,23 @@ class WordParseError(PnfkitError, ValueError):
 
 
 class ScaleError(PnfkitError, ValueError):
-    """An input exceeds a desk-scale guard.
+    """The requested ``size`` of ``what`` exceeds a desk-scale guard's ``limit``.
 
-    Guards keep worst-case runtimes bounded; pass ``unsafe_large=True``
-    (or ``--unsafe-large`` on the CLI) to override.
+    ``unsafe_large=True`` (``--unsafe-large`` on the CLI) lifts every
+    guard but the series-order one.
     """
+
+    def __init__(self, what: str, size: int, limit: int):
+        self.what = what
+        self.size = size
+        self.limit = limit
+        super().__init__(f"{what} {size} refused: the limit is {limit}")
+
+
+def check_scale(what: str, size: int, limit: int, unsafe_large: bool) -> None:
+    """The one refusal policy: refuse size > limit unless unsafe_large is set."""
+    if size > limit and not unsafe_large:
+        raise ScaleError(what, size, limit)
 
 
 class ContractError(PnfkitError, ValueError):

@@ -12,7 +12,8 @@ under these keys; they must always agree:
   * gaps:     windowed sums of the 1-gap decomposition dominate its
               prefix sums
 
-The incremental append-one test used by enumeration lives here too.
+The incremental append-one test lives here too; the enumeration walk
+keeps its own packed form of it.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from dataclasses import dataclass
 
 from .bitword import BinaryWord, _check_symbol, max_ones_profile
 from .errors import ContractError
+
+# `pnfkit check` runs the four characterisations, O(n^2) Python loops,
+# on at most this many symbols (the CLI's word-argument cap).
+CHARACTERISATION_GUARD = 4096
 
 
 def is_prefix_normal(w: BinaryWord, x: int = 1, *, unsafe_large: bool = False) -> bool:

@@ -19,7 +19,7 @@ from .bitword import (
     max_zeros_profile,
     parse_word,
 )
-from .errors import ScaleError
+from .errors import check_scale
 
 # A word of length n has O(n^2) factor Parikh vectors; the guard bounds
 # that output, not the work of finding it.
@@ -88,10 +88,7 @@ def parikh_set(w: BinaryWord, *, unsafe_large: bool = False) -> frozenset[Parikh
     up to PNF1's. Guarded: quadratically many vectors.
     """
     n = len(w)
-    if n > PARIKH_SET_LENGTH_GUARD and not unsafe_large:
-        raise ScaleError(
-            f"parikh_set holds O(n^2) vectors; refusing length {n} > {PARIKH_SET_LENGTH_GUARD}"
-        )
+    check_scale("Parikh set length", n, PARIKH_SET_LENGTH_GUARD, unsafe_large)
     pair = pnf_pair(w, unsafe_large=unsafe_large)
     fmax = pair.pnf1.prefix_counts(1)
     fmin = pair.pnf0.prefix_counts(1)

@@ -92,6 +92,33 @@ class TestCheck:
         assert len(rows) == 6
         assert all(row.endswith("false") for row in rows[1:])
 
+    def test_unsafe_large_lifts_profile_guard(self, capsys, tmp_path):
+        # Profiles of 1^n cost O(n): the guard, not the work, is tested.
+        path = tmp_path / "w.txt"
+        path.write_text("1" * 100_001 + "\n")
+        code, out, err = run(capsys, "check", "--file", str(path))
+        assert code == 3 and out == "" and "100000" in err
+        code, out, _ = run(capsys, "--unsafe-large", "check", "--file", str(path))
+        assert code == 0 and out == "normal\n"
+
+    @pytest.mark.parametrize("method", ["subadd", "pos", "possuper", "gaps", "all"])
+    def test_characterisation_guard(self, capsys, tmp_path, method):
+        # 01^4096 is not normal, and every characterisation sees that at
+        # once, so the lifted run stays cheap.
+        path = tmp_path / "w.txt"
+        path.write_text("0" + "1" * 4096 + "\n")
+        code, out, err = run(capsys, "check", "--file", str(path), "--method", method)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "4096" in err
+        code, out, _ = run(capsys, "check", "--file", str(path), "--method", method, "--unsafe-large")
+        assert code == 0 and out.endswith("not normal\n")
+
+    def test_characterisation_guard_spares_def(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("0" + "1" * 4096 + "\n")
+        code, out, _ = run(capsys, "check", "--file", str(path))
+        assert code == 0 and out == "not normal\n"
+
 
 class TestIndex:
     def test_build_query_roundtrip(self, capsys, tmp_path):
@@ -349,6 +376,6 @@ class TestMisc:
         assert exc.value.code == 2
 
     def test_unsafe_large_override(self, capsys):
-        code, out, _ = run(capsys, "prenecklaces", "25", "--unsafe-large")
+        code, out, _ = run(capsys, "prenecklaces", "10001", "--unsafe-large")
         assert code == 0
         assert int(out) > 0

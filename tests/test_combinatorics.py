@@ -287,8 +287,10 @@ class TestGeneratingFunctions:
 
     def test_expansion_satisfies_recurrence(self):
         for d in range(7):
-            num, den = _GF_TABLE[d]
-            assert den[0] == 1  # the recurrence solves in exact integers
+            num, factors = _GF_TABLE[d]
+            den = [1]
+            for k in factors:  # multiply out the factors 1 - x^k
+                den = [a - (den[i - k] if i >= k else 0) for i, a in enumerate(den + [0] * k)]
             coeffs = expand_gf(d, 30)
             for k in range(31):
                 conv = sum(den[i] * coeffs[k - i] for i in range(min(k, len(den) - 1) + 1))

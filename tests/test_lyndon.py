@@ -73,7 +73,7 @@ class TestPrenecklace:
 
     def test_count_guard(self):
         with pytest.raises(ScaleError):
-            count_prenecklaces(25)
+            count_prenecklaces(10_001)
 
     def test_strict_containment_from_length_8(self):
         for n, (pnw_n, pl_n) in enumerate(zip(KNOWN_PNW, KNOWN_PL), start=1):

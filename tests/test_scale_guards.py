@@ -1,0 +1,79 @@
+"""Every scale guard refuses through one policy and names its limit."""
+
+import pytest
+
+from pnfkit import (
+    BinaryWord,
+    ScaleError,
+    census,
+    class_statistics,
+    count_pnw_density,
+    count_prenecklaces,
+    enumerate_pn,
+    expand_gf,
+    ext_count,
+    max_ones_profile,
+    max_zeros_profile,
+    min_ones_profile,
+    parikh_set,
+    pnf_pair,
+)
+from pnfkit.bitword import PROFILE_LENGTH_GUARD
+from pnfkit.combinatorics import CLASS_LISTING_GUARD, CLASS_SCAN_GUARD, ENUM_LENGTH_GUARD, GF_ORDER_GUARD
+from pnfkit.errors import check_scale
+from pnfkit.lyndon import PRENECKLACE_COUNT_GUARD
+from pnfkit.pnf import PARIKH_SET_LENGTH_GUARD
+
+
+def ones(n):
+    return BinaryWord((1 << n) - 1, n)
+
+
+# name: (call at size s with keyword arguments, its limit, whether the
+# lifted call is cheap enough to run). Profiles of 0^n and 1^n, and walks
+# whose density window admits only 1^n, cost O(n).
+GUARDS = {
+    "max_ones_profile": (lambda s, **kw: max_ones_profile(BinaryWord(0, s), **kw), PROFILE_LENGTH_GUARD, True),
+    "max_zeros_profile": (lambda s, **kw: max_zeros_profile(BinaryWord(0, s), **kw), PROFILE_LENGTH_GUARD, True),
+    "min_ones_profile": (lambda s, **kw: min_ones_profile(BinaryWord(0, s), **kw), PROFILE_LENGTH_GUARD, True),
+    "pnf_pair": (lambda s, **kw: pnf_pair(ones(s), **kw), PROFILE_LENGTH_GUARD, True),
+    "census": (census, ENUM_LENGTH_GUARD, False),
+    "enumerate_pn": (lambda s, **kw: next(enumerate_pn(s, **kw)), ENUM_LENGTH_GUARD, True),
+    "count_pnw_density": (lambda s, **kw: count_pnw_density(s, s, **kw), ENUM_LENGTH_GUARD, True),
+    "ext_count": (lambda s, **kw: ext_count(ones(s - 1), 1, **kw), ENUM_LENGTH_GUARD, True),
+    "class_scan": (class_statistics, CLASS_SCAN_GUARD, False),
+    "class_listing": (
+        lambda s, **kw: class_statistics(s, include_listing=True, **kw),
+        CLASS_LISTING_GUARD,
+        True,
+    ),
+    "parikh_set": (lambda s, **kw: parikh_set(ones(s), **kw), PARIKH_SET_LENGTH_GUARD, True),
+    "count_prenecklaces": (count_prenecklaces, PRENECKLACE_COUNT_GUARD, True),
+    "expand_gf": (lambda s: expand_gf(2, s), GF_ORDER_GUARD, False),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guard_names_its_limit(name):
+    call, limit, cheap = GUARDS[name]
+    with pytest.raises(ScaleError) as exc:
+        call(limit + 1)
+    err = exc.value
+    assert err.size == limit + 1 and err.limit == limit
+    assert err.what and err.what in str(err) and "refused" in str(err)
+    if cheap:
+        call(limit + 1, unsafe_large=True)
+
+
+def test_gf_order_guard_has_no_override():
+    with pytest.raises(TypeError):
+        expand_gf(2, GF_ORDER_GUARD + 1, unsafe_large=True)
+
+
+def test_check_scale():
+    check_scale("length", 5, 5, False)
+    check_scale("length", 6, 5, True)
+    with pytest.raises(ScaleError) as exc:
+        check_scale("length", 6, 5, False)
+    assert (exc.value.what, exc.value.size, exc.value.limit) == ("length", 6, 5)
+    assert str(exc.value) == "length 6 refused: the limit is 5"
