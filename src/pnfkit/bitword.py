@@ -166,37 +166,36 @@ def parse_word(text: str) -> BinaryWord:
     return BinaryWord(int(text[::-1] or "0", 2), len(text))
 
 
-def _min_spans(bits: int, n: int) -> list[int]:
-    """Shortest factor length holding t ones, for t = 1..(ones in the word).
+def _pnf1_bits(bits: int, n: int) -> int:
+    """The packed PNF1 of the packed word bits of length n.
 
-    bits is a packed word of length n. These are the lengths k at which
-    the maximum-ones profile steps up, i.e. the positions of the 1s in
-    PNF1. The work is O(r^2) C-level steps over the positions of the
-    rarer symbol, r = min(|w|_0, |w|_1).
+    Bit k - 1 of the result is set exactly when the maximum-ones profile
+    steps up at k, i.e. when k is the shortest factor length holding one
+    more 1 than any shorter factor. The work is O(r^2) C-level steps
+    over the positions of the rarer symbol, r = min(|w|_0, |w|_1).
     """
     # The profile is invariant under reversal, so positions are read off
     # the most-significant-first rendering as they stand. The sentinel
     # bit makes the rendering exactly n characters, also for n = 0.
     text = format(bits | 1 << n, "b")[1:]
     if 2 * bits.bit_count() <= n:
-        # Ones rarer: the t-th span is the least distance between ones
-        # t - 1 apart in the position list.
+        # Ones rarer: the shortest span holding t + 1 ones is one more
+        # than the least distance between ones t apart in the position
+        # list; the spans strictly increase, so the bits are distinct.
         ones = [i for i, c in enumerate(text) if c == "1"]
-        return [min(map(sub, ones[t - 1 :], ones)) + 1 for t in range(1, len(ones) + 1)]
+        return sum([1 << min(map(sub, ones[t:], ones)) for t in range(len(ones))])
     # Zeros rarer: the longest factor with at most j zeros spans j + 1
     # zero-gaps, E[i + j + 1] - E[i] - 1 over the zero positions E padded
     # with -1 and n. The minimum-zeros profile steps up just past it, and
-    # since max-ones(k) = k - min-zeros(k), max-ones steps everywhere else.
+    # since max-ones(k) = k - min-zeros(k), max-ones steps everywhere
+    # else: those lengths k, again distinct, leave the all-ones mask.
     edges = [-1, *(i for i, c in enumerate(text) if c == "0"), n]
-    skipped = {max(map(sub, edges[j + 1 :], edges)) for j in range(len(edges) - 2)}
-    return [k for k in range(1, n + 1) if k not in skipped]
+    skipped = sum([1 << max(map(sub, edges[j + 1 :], edges)) for j in range(len(edges) - 2)])
+    return (1 << n) - 1 - (skipped >> 1)
 
 
 def _max_profile(bits: int, n: int) -> tuple[int, ...]:
-    steps = bytearray(n + 1)
-    for k in _min_spans(bits, n):
-        steps[k] = 1
-    return tuple(accumulate(steps))
+    return tuple(BinaryWord(_pnf1_bits(bits, n), n).prefix_counts(1))
 
 
 def max_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:

@@ -45,7 +45,7 @@ from itertools import accumulate, repeat
 from operator import add
 from typing import Iterator, Sequence
 
-from .bitword import BinaryWord, _check_symbol, _min_spans
+from .bitword import BinaryWord, _check_symbol, _pnf1_bits
 from .errors import ContractError, PnfkitError, check_scale
 from .normality import is_prefix_normal
 
@@ -317,12 +317,6 @@ class ClassStatistics:
     classes: tuple[EquivalenceClass, ...]
 
 
-def _pnf1_bits(word_bits: int, n: int) -> int:
-    # pnf1 of a packed word, avoiding BinaryWord overhead in 2^n scans:
-    # its 1s sit at the shortest spans holding 1, 2, ... ones.
-    return sum([1 << (k - 1) for k in _min_spans(word_bits, n)])
-
-
 def class_statistics(
     n: int, *, include_listing: bool = False, unsafe_large: bool = False
 ) -> ClassStatistics:
@@ -444,7 +438,6 @@ def ext_bijection_check(n: int, d: int, *, unsafe_large: bool = False) -> bool:
     m = n + d - 3
     if m < 0:
         raise ContractError(f"extension length n+d-3 = {m} is negative for n={n}, d={d}")
-    _guard_length(m + 2, unsafe_large)
     left = ext_count(BinaryWord.from_bits([1, 0]), m, d, unsafe_large=unsafe_large)
     right = count_pnw_density(n, d, unsafe_large=unsafe_large)
     return left == right

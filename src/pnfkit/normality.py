@@ -144,11 +144,6 @@ DECIDERS = {
 }
 
 
-def all_deciders(w: BinaryWord) -> dict[str, bool]:
-    """Run all five decision routes for 1-prefix-normality."""
-    return {name: decide(w) for name, decide in DECIDERS.items()}
-
-
 def can_append_one(w: BinaryWord) -> bool:
     """For 1-prefix-normal w: is w1 still 1-prefix-normal?
 

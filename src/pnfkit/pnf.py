@@ -17,6 +17,7 @@ from .bitword import (
     _check_symbol,
     max_ones_profile,
     max_zeros_profile,
+    min_ones_profile,
     parse_word,
 )
 from .errors import check_scale
@@ -83,15 +84,15 @@ def prefix_equivalent(v: BinaryWord, w: BinaryWord, x: int = 1) -> bool:
 def parikh_set(w: BinaryWord, *, unsafe_large: bool = False) -> frozenset[ParikhVector]:
     """The set of Parikh vectors of all factors of w.
 
-    Read off the two normal forms: the ones-counts of the length-k
-    factors are exactly the integers from PNF0's ones-prefix count at k
-    up to PNF1's. Guarded: quadratically many vectors.
+    The ones-counts of the length-k factors are exactly the integers
+    from the minimum-ones profile at k up to the maximum-ones profile,
+    which are the ones-prefix counts of PNF0 and PNF1. Guarded:
+    quadratically many vectors.
     """
     n = len(w)
     check_scale("Parikh set length", n, PARIKH_SET_LENGTH_GUARD, unsafe_large)
-    pair = pnf_pair(w, unsafe_large=unsafe_large)
-    fmax = pair.pnf1.prefix_counts(1)
-    fmin = pair.pnf0.prefix_counts(1)
+    fmax = max_ones_profile(w, unsafe_large=unsafe_large)
+    fmin = min_ones_profile(w, unsafe_large=unsafe_large)
     return frozenset(
         ParikhVector(zeros=k - ones, ones=ones)
         for k in range(n + 1)

@@ -12,7 +12,6 @@ import pytest
 from pnfkit import (
     BinaryWord,
     ContractError,
-    all_deciders,
     bound_check,
     build_index,
     census,
@@ -35,6 +34,7 @@ from pnfkit import (
     upper_bound_threshold,
 )
 from pnfkit.combinatorics import _bound_rows
+from pnfkit.normality import DECIDERS
 
 LONG_WORD = "1010011011000111001011"
 KNOWN_F1 = (0, 1, 2, 3, 3, 4, 4, 4, 5, 6, 6, 7, 7, 7, 8, 8, 9, 10, 10, 10, 11, 11, 12)
@@ -157,7 +157,7 @@ def test_criterion_06_decider_agreement():
     for n in range(17):
         for bits in range(1 << n):
             w = BinaryWord(bits, n)
-            verdicts = all_deciders(w)
+            verdicts = {name: decide(w) for name, decide in DECIDERS.items()}
             assert len(set(verdicts.values())) == 1, (w, verdicts)
             words += 1
     elapsed = time.perf_counter() - start

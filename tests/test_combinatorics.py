@@ -22,7 +22,8 @@ from pnfkit import (
     upper_bound_threshold,
 )
 from pnfkit import combinatorics
-from pnfkit.combinatorics import _GF_TABLE, _bound_rows, _pnf1_bits, resolve_threads
+from pnfkit.bitword import _pnf1_bits
+from pnfkit.combinatorics import _GF_TABLE, _bound_rows, resolve_threads
 from pnfkit.normality import can_append_one
 from conftest import (
     all_words,

@@ -3,7 +3,6 @@ import pytest
 from pnfkit import (
     ContractError,
     GapDecomposition,
-    all_deciders,
     can_append_one,
     check_gap_inequalities,
     enumerate_pn,
@@ -11,6 +10,7 @@ from pnfkit import (
     parse_word,
     prefix_equivalent,
 )
+from pnfkit.normality import DECIDERS
 from conftest import all_words, random_word
 
 
@@ -49,14 +49,14 @@ class TestDefinitionDecider:
 class TestCharacterizations:
     def test_known_verdicts(self):
         for text, expected in [("11010", True), ("10110", False), ("", True), ("1011", False)]:
-            verdicts = all_deciders(parse_word(text))
+            verdicts = {name: decide(parse_word(text)) for name, decide in DECIDERS.items()}
             assert set(verdicts.values()) == {expected}, (text, verdicts)
 
     def test_agreement_exhaustive_small(self):
         # the acceptance suite pushes this to n = 16
         for n in range(12):
             for w in all_words(n):
-                verdicts = all_deciders(w)
+                verdicts = {name: decide(w) for name, decide in DECIDERS.items()}
                 assert len(set(verdicts.values())) == 1, (w, verdicts)
 
 

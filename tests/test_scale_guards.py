@@ -11,6 +11,7 @@ from pnfkit import (
     count_prenecklaces,
     enumerate_pn,
     expand_gf,
+    ext_bijection_check,
     ext_count,
     max_ones_profile,
     max_zeros_profile,
@@ -41,6 +42,7 @@ GUARDS = {
     "enumerate_pn": (lambda s, **kw: next(enumerate_pn(s, **kw)), ENUM_LENGTH_GUARD, True),
     "count_pnw_density": (lambda s, **kw: count_pnw_density(s, s, **kw), ENUM_LENGTH_GUARD, True),
     "ext_count": (lambda s, **kw: ext_count(ones(s - 1), 1, **kw), ENUM_LENGTH_GUARD, True),
+    "ext_bijection_check": (lambda s, **kw: ext_bijection_check(s, 1, **kw), ENUM_LENGTH_GUARD, True),
     "class_scan": (class_statistics, CLASS_SCAN_GUARD, False),
     "class_listing": (
         lambda s, **kw: class_statistics(s, include_listing=True, **kw),
