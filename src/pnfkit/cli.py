@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from functools import partial
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from . import combinatorics, jumbled, lyndon, normality, pnf
 from .bitword import BinaryWord, parse_word
@@ -51,18 +53,42 @@ def _add_word_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--stdin", action="store_true", help="read the word from standard input")
 
 
-def _emit(args, fields: list[str], rows: list[tuple], text_lines: list[str] | None = None) -> None:
-    if args.format == "csv":
-        print(",".join(fields))
-        for row in rows:
-            print(",".join(_csv_cell(v) for v in row))
-    elif args.format == "json":
-        print(json.dumps([dict(zip(fields, row)) for row in rows]))
+# Lines per stdout write: a block costs one write call, not one per line.
+_BLOCK_LINES = 4096
+
+
+def _emit(args, fields: list[str], rows: Iterable[tuple], text_lines: Iterable[str] | None = None) -> None:
+    """The one writer of stdout. rows and text_lines may be generators: only the
+    requested format is rendered, as it is written, one write per _BLOCK_LINES
+    lines (JSON: rows, then the closing bracket), so an error raised while the
+    first block is rendered leaves stdout empty."""
+    if args.format == "json":
+        chunks = _json_chunks(fields, rows)
     else:
-        if text_lines is None:
-            text_lines = ["  ".join(_csv_cell(v) for v in row) for row in rows]
-        for line in text_lines:
-            print(line)
+        if args.format == "csv":
+            lines = chain([",".join(fields)], (",".join(map(_csv_cell, row)) for row in rows))
+        elif text_lines is None:
+            lines = ("  ".join(map(_csv_cell, row)) for row in rows)
+        else:
+            lines = text_lines
+        chunks = ("\n".join(block) + "\n" for block in _blocks(lines))
+    for chunk in chunks:
+        sys.stdout.write(chunk)
+
+
+def _blocks(items: Iterable) -> Iterator[list]:
+    items = iter(items)
+    while block := list(islice(items, _BLOCK_LINES)):
+        yield block
+
+
+def _json_chunks(fields: list[str], rows: Iterable[tuple]) -> Iterator[str]:
+    """json.dumps of the list of row objects, one chunk per block of rows."""
+    sep = "["
+    for block in _blocks(dict(zip(fields, row)) for row in rows):
+        yield sep + json.dumps(block)[1:-1]
+        sep = ", "
+    yield "[]\n" if sep == "[" else "]\n"
 
 
 def _csv_cell(value) -> str:
@@ -131,20 +157,17 @@ def _cmd_index(args) -> int:
         ix = jumbled.build_index(w, unsafe_large=args.unsafe_large)
         with open(args.output, "wb") as out:
             jumbled.dump_index(ix, out)
-        print(f"indexed {len(w)} symbols -> {args.output}")
+        line = f"indexed {len(w)} symbols -> {args.output}"
+        _emit(args, ["n", "output"], [(len(w), args.output)], text_lines=[line])
         return EXIT_OK
     with open(args.ixfile, "rb") as fp:
         ix = jumbled.load_index(fp)
     if args.index_cmd == "query":
-        answer = ix.query(ones=args.ones, zeros=args.zeros)
-        _emit(
-            args,
-            ["ones", "zeros", "answer"],
-            [(args.ones, args.zeros, "yes" if answer else "no")],
-            text_lines=["yes" if answer else "no"],
-        )
+        answer = "yes" if ix.query(ones=args.ones, zeros=args.zeros) else "no"
+        _emit(args, ["ones", "zeros", "answer"], [(args.ones, args.zeros, answer)], text_lines=[answer])
         return EXIT_OK
-    # query-batch: one "ones,zeros" pair per row, optional header
+    # query-batch: one "ones,zeros" pair per row, optional header. Every
+    # row is answered before any is written, so a bad row leaves stdout empty.
     rows = []
     with open(args.csvfile, "r", encoding="ascii") as fp:
         for lineno, line in enumerate(fp, start=1):
@@ -154,15 +177,13 @@ def _cmd_index(args) -> int:
             try:
                 ones_s, zeros_s = line.split(",")
                 ones, zeros = int(ones_s), int(zeros_s)
+                answer = ix.query(ones=ones, zeros=zeros)
             except ValueError:
-                raise ValueError(f"{args.csvfile}:{lineno}: expected 'ones,zeros', got {line!r}")
-            if ones < 0 or zeros < 0:
                 raise ValueError(
-                    f"{args.csvfile}:{lineno}: ones and zeros must be non-negative, got {line!r}"
-                )
-            answer = ix.query(ones=ones, zeros=zeros)
+                    f"{args.csvfile}:{lineno}: expected 'ones,zeros' of counts >= 0, got {line!r}"
+                ) from None
             rows.append((ones, zeros, "yes" if answer else "no"))
-    _emit(args, ["ones", "zeros", "answer"], rows, text_lines=[r[2] for r in rows])
+    _emit(args, ["ones", "zeros", "answer"], rows, text_lines=(r[2] for r in rows))
     return EXIT_OK
 
 
@@ -176,11 +197,7 @@ def _cmd_enum(args) -> int:
         if args.n is not None:
             raise ValueError("--ratios replaces the length argument; drop N")
         rows = combinatorics.ratio_series(args.ratios, unsafe_large=unsafe)
-        _emit(
-            args,
-            ["n", "growth_ratio", "ecrit_ratio", "ecrit_ratio_scaled"],
-            [(r.n, r.growth_ratio, r.ecrit_ratio, r.ecrit_ratio_scaled) for r in rows],
-        )
+        _emit(args, ["n", "growth_ratio", "ecrit_ratio", "ecrit_ratio_scaled"], map(astuple, rows))
         return EXIT_OK
     if args.n is None:
         raise ValueError("enum needs a length N (or --ratios N)")
@@ -200,26 +217,26 @@ def _cmd_enum(args) -> int:
             n, include_listing=args.members, unsafe_large=unsafe
         )
         fields = ["representative", "size"]
-        rows: list[tuple] = [(c.representative.to01(), c.size) for c in stats.classes]
+        rows = ((c.representative.to01(), c.size) for c in stats.classes)
         if args.members:
             fields.append("members")
-            rows = [
-                row + (" ".join(m.to01() for m in c.members),)
-                for row, c in zip(rows, stats.classes)
-            ]
-        lines = [f"{stats.class_count} classes, max size {stats.max_class_size}"]
-        lines += ["  ".join(str(v) for v in row) for row in rows]
+            rows = (
+                (c.representative.to01(), c.size, " ".join(m.to01() for m in c.members))
+                for c in stats.classes
+            )
+        header = f"{stats.class_count} classes, max size {stats.max_class_size}"
+        lines = chain([header], ("  ".join(map(str, row)) for row in rows))
         _emit(args, fields, rows, text_lines=lines)
     else:
-        words = [w.to01() for w in combinatorics.enumerate_pn(n, bit, unsafe_large=unsafe)]
-        _emit(args, ["word"], [(w,) for w in words], text_lines=words)
+        words = map(BinaryWord.to01, combinatorics.enumerate_pn(n, bit, unsafe_large=unsafe))
+        _emit(args, ["word"], zip(words), text_lines=words)
     return EXIT_OK
 
 
 def _cmd_parikh(args) -> int:
     w = _read_word(args)
     vectors = sorted(pnf.parikh_set(w, unsafe_large=args.unsafe_large))
-    _emit(args, ["zeros", "ones"], [(v.zeros, v.ones) for v in vectors])
+    _emit(args, ["zeros", "ones"], vectors)
     return EXIT_OK
 
 
@@ -244,39 +261,26 @@ def _cmd_gf(args) -> int:
 def _cmd_ext(args) -> int:
     w = _read_word(args)
     count = combinatorics.ext_count(w, args.m, args.density, unsafe_large=args.unsafe_large)
-    d_cell = args.density if args.density is not None else ""
-    _emit(
-        args,
-        ["word", "m", "density", "count"],
-        [(w.to01(), args.m, d_cell, count)],
-        text_lines=[str(count)],
-    )
+    row = (w.to01(), args.m, "" if args.density is None else args.density, count)
+    _emit(args, ["word", "m", "density", "count"], [row], text_lines=[str(count)])
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
     rows = combinatorics.bound_check(args.n, unsafe_large=args.unsafe_large)
     threshold = combinatorics.upper_bound_threshold(rows)
-    data = [
-        (r.n, r.pnw, r.upper_bound, r.upper_holds, r.lower_bound, r.lower_holds) for r in rows
-    ]
     lines = [
         f"n={r.n} pnw={r.pnw} upper={r.upper_bound:.6g} "
         f"({'holds' if r.upper_holds else 'fails'}) lower={r.lower_bound:.6g} "
         f"({'holds' if r.lower_holds else 'fails'})"
         for r in rows
     ]
-    if args.format == "text":
-        if threshold is None:
-            lines.append("upper bound does not hold at the end of the computed range")
-        else:
-            lines.append(f"upper bound holds for all computed n >= {threshold}")
-    _emit(
-        args,
-        ["n", "pnw", "upper_bound", "upper_holds", "lower_bound", "lower_holds"],
-        data,
-        text_lines=lines,
-    )
+    if threshold is None:
+        lines.append("upper bound does not hold at the end of the computed range")
+    else:
+        lines.append(f"upper bound holds for all computed n >= {threshold}")
+    fields = ["n", "pnw", "upper_bound", "upper_holds", "lower_bound", "lower_holds"]
+    _emit(args, fields, map(astuple, rows), text_lines=lines)
     return EXIT_OK
 
 

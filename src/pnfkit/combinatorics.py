@@ -60,12 +60,6 @@ _FORK_MIN_LEAVES = 1 << 17
 THREADS_ENV_VAR = "PNFKIT_THREADS"
 
 
-def _guard_length(n: int, unsafe_large: bool) -> None:
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
-
-
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count for counting walks: explicit value, else available
     cores capped by the PNFKIT_THREADS environment variable."""
@@ -93,7 +87,8 @@ def _new_tally(n: int) -> Tally:
 
 
 def _walk(
-    root_prefix: Sequence[int],
+    root_bits: int,
+    m: int,
     n: int,
     lo: int,
     hi: int,
@@ -103,8 +98,8 @@ def _walk(
 ) -> Iterator[int]:
     """Walk the subtree under a 1-prefix-normal root down to depth n.
 
-    root_prefix is the ones-prefix-count array of the root word (entry 0
-    is 0). Only nodes that can still reach a leaf with lo..hi ones are
+    The root is the word of length m packed in root_bits (position i at
+    bit i - 1). Only nodes that can still reach a leaf with lo..hi ones are
     visited. tally is (nodes, ecrit, hist), three lists of length n + 1
     the walk adds to: visited nodes per depth, those among them that
     cannot take a 1, and the leaf density histogram. ecrit[n] is counted
@@ -113,10 +108,9 @@ def _walk(
     otherwise it yields nothing.
     """
     nodes, ecrit, hist = tally
-    m = len(root_prefix) - 1
     if m > n:
         raise ValueError("root longer than requested depth")
-    t = root_prefix[m]
+    t = root_bits.bit_count()
     if t > hi or t + n - m < lo:
         return
     # A slack lies in -1..n-1 on a prefix normal word; field k holds
@@ -129,11 +123,11 @@ def _walk(
     one_step = [f - g for f in ones]
     zero_step = g - 1
     # slack packs s(1..m); word holds w_k in field k; bits is the packed word.
-    slack = word = bits = 0
+    slack = word = 0
+    bits = root_bits
     for i in range(1, m + 1):
-        b = root_prefix[i] - root_prefix[i - 1]
+        b = bits >> i - 1 & 1
         word += b * unit[i - 1]
-        bits |= b << i - 1
         slack = (slack << width) + word - b * ones[i] + zero_step + b
     if m == n:
         nodes[n] += 1
@@ -185,11 +179,11 @@ def _walk(
         m, t, slack, word, ok, bits = stack.pop()
 
 
-def _walk_counts(root_prefix: Sequence[int], n: int, lo: int, hi: int, leaf_ecrit: bool) -> Tally:
+def _walk_counts(root_bits: int, m: int, n: int, lo: int, hi: int, leaf_ecrit: bool) -> Tally:
     """The tally of one counting walk (see _walk)."""
     tally = _new_tally(n)
     # A counting walk never yields: one next() runs it to the end.
-    next(_walk(root_prefix, n, lo, hi, leaf_ecrit, tally, False), None)
+    next(_walk(root_bits, m, n, lo, hi, leaf_ecrit, tally, False), None)
     return tally
 
 
@@ -200,12 +194,12 @@ def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) ->
     workers = resolve_threads(threads)
     split_depth = DEFAULT_SPLIT_DEPTH
     if workers <= 1 or n <= split_depth + 1:
-        return _walk_counts((0,), n, lo, hi, leaf_ecrit)
+        return _walk_counts(0, 0, n, lo, hi, leaf_ecrit)
     # The shallow walk keeps the roots that can still reach the window:
     # a root at split_depth may gain up to n - split_depth more ones.
     shallow = _new_tally(split_depth)
     depth = n - split_depth
-    roots = list(_walk((0,), split_depth, max(0, lo - depth), hi, False, shallow, True))
+    roots = list(_walk(0, 0, split_depth, max(0, lo - depth), hi, False, shallow, True))
     # Starting a pool costs tens of milliseconds, which a walk bounded by
     # fewer than _FORK_MIN_LEAVES leaves does not repay at two workers:
     # such a walk stays here. The leaves under a root with t ones are
@@ -215,13 +209,13 @@ def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) ->
         for t in range(split_depth + 1)
     ]
     if sum(reach[bits.bit_count()] for bits in roots) < _FORK_MIN_LEAVES:
-        return _walk_counts((0,), n, lo, hi, leaf_ecrit)
+        return _walk_counts(0, 0, n, lo, hi, leaf_ecrit)
     pad = [0] * (depth + 1)
     tally = (shallow[0][:split_depth] + pad, shallow[1][:split_depth] + pad, [0] * (n + 1))
-    tasks = [(BinaryWord(bits, split_depth).prefix_counts(1), n, lo, hi, leaf_ecrit) for bits in roots]
-    chunk = max(1, len(tasks) // (workers * 8))
+    chunk = max(1, len(roots) // (workers * 8))
+    tasks = (roots, repeat(split_depth), repeat(n), repeat(lo), repeat(hi), repeat(leaf_ecrit))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for sub in pool.map(_walk_counts, *zip(*tasks), chunksize=chunk):
+        for sub in pool.map(_walk_counts, *tasks, chunksize=chunk):
             tally = tuple(list(map(add, total, part)) for total, part in zip(tally, sub))
     return tally
 
@@ -251,7 +245,7 @@ def census(
 ) -> Census:
     """Count 1-prefix-normal words (and critical words) for every length
     up to n in a single walk, forked across subtrees when threads > 1."""
-    _guard_length(n, unsafe_large)
+    check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     nodes, ecrit, hist = _fan_out(n, 0, n, include_leaf_ecrit, threads)
     return Census(n, tuple(nodes), tuple(ecrit), tuple(hist))
 
@@ -269,10 +263,10 @@ def enumerate_pn(n: int, x: int = 1, *, unsafe_large: bool = False) -> Iterator[
     n = 4) and ascending for x = 0.
     """
     _check_symbol(x)
-    _guard_length(n, unsafe_large)
+    check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     # The 0-prefix-normal words are the complements of the 1-prefix-normal ones.
     flip = 0 if x == 1 else (1 << n) - 1
-    for bits in _walk((0,), n, 0, n, False, _new_tally(n), True):
+    for bits in _walk(0, 0, n, 0, n, False, _new_tally(n), True):
         yield BinaryWord(bits ^ flip, n)
 
 
@@ -291,7 +285,7 @@ def count_pnw_density(
 ) -> int:
     """pnw(n, d): 1-prefix-normal words of length n with exactly d ones,
     forked across subtrees like census when threads > 1."""
-    _guard_length(n, unsafe_large)
+    check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     if not 0 <= d <= n:
         raise ValueError(f"density {d} out of range 0..{n}")
     return _fan_out(n, d, d, False, threads)[2][d]
@@ -331,8 +325,6 @@ def class_statistics(
     ones-prefix counts dominate every member's, so the classes enter the
     dict in output order and each member list comes out sorted.
     """
-    if n < 0:
-        raise ValueError("length must be non-negative")
     check_scale("class scan length", n, CLASS_SCAN_GUARD, unsafe_large)
     if include_listing:
         check_scale("class listing length", n, CLASS_LISTING_GUARD, unsafe_large)
@@ -385,8 +377,6 @@ def expand_gf(d: int, order: int) -> tuple[int, ...]:
     """
     if not 0 <= d <= GF_MAX_DENSITY:
         raise ValueError(f"no closed generating function for density {d} (supported: 0..{GF_MAX_DENSITY})")
-    if order < 0:
-        raise ValueError(f"expansion order must be non-negative, got {order}")
     # The order guard is fixed: unsafe_large does not lift it.
     check_scale("series order", order, GF_ORDER_GUARD, False)
     num, factors = _GF_TABLE[d]
@@ -414,17 +404,16 @@ def ext_count(
     if m < 0:
         raise ValueError("extension length must be non-negative")
     total_len = len(w) + m
-    _guard_length(total_len, unsafe_large)
+    check_scale("enumeration length", total_len, ENUM_LENGTH_GUARD, unsafe_large)
     if not is_prefix_normal(w, 1):
         raise ContractError("ext_count requires a 1-prefix-normal base word")
-    prefix = w.prefix_counts(1)
     if d is None:
-        return _walk_counts(prefix, total_len, 0, total_len, False)[0][total_len]
+        return _walk_counts(w.packed, len(w), total_len, 0, total_len, False)[0][total_len]
     if d < 0:
         raise ValueError("density must be non-negative")
     if d > total_len:
         return 0
-    return _walk_counts(prefix, total_len, d, d, False)[2][d]
+    return _walk_counts(w.packed, len(w), total_len, d, d, False)[2][d]
 
 
 def ext_bijection_check(n: int, d: int, *, unsafe_large: bool = False) -> bool:

@@ -32,7 +32,10 @@ class ScaleError(PnfkitError, ValueError):
 
 
 def check_scale(what: str, size: int, limit: int, unsafe_large: bool) -> None:
-    """The one refusal policy: refuse size > limit unless unsafe_large is set."""
+    """The one refusal policy: a negative size is a plain ValueError;
+    refuse size > limit unless unsafe_large is set."""
+    if size < 0:
+        raise ValueError(f"{what} must be non-negative, got {size}")
     if size > limit and not unsafe_large:
         raise ScaleError(what, size, limit)
 

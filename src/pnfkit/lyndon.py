@@ -75,8 +75,6 @@ def lyndon_extension_check(w: BinaryWord) -> bool:
 
 def count_prenecklaces(n: int, *, unsafe_large: bool = False) -> int:
     """Number of pre-necklaces of length n over {0, 1}."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
     check_scale("pre-necklace count length", n, PRENECKLACE_COUNT_GUARD, unsafe_large)
     if n == 0:
         return 1

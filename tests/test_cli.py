@@ -1,9 +1,14 @@
+import io
 import json
+import math
+import random
 import struct
+import sys
 
 import pytest
 
-from pnfkit.cli import main
+from pnfkit import build_index, parse_word
+from pnfkit.cli import _BLOCK_LINES, main
 
 
 def run(capsys, *argv):
@@ -126,7 +131,7 @@ class TestIndex:
         wordfile.write_text("1001101\n")
         ixfile = tmp_path / "word.pnfix"
         code, out, _ = run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
-        assert code == 0
+        assert code == 0 and out == f"indexed 7 symbols -> {ixfile}\n"
         assert ixfile.read_bytes().startswith(b"PNFIX1")
 
         code, out, _ = run(capsys, "index", "query", str(ixfile), "--ones", "3", "--zeros", "2")
@@ -151,7 +156,16 @@ class TestIndex:
         )
         assert out.splitlines() == ["ones,zeros,answer", "3,2,yes", "0,3,no", "4,0,no"]
 
-    @pytest.mark.parametrize("row", ["-1,2", "2,-1"])
+    def test_build_honours_format(self, capsys, tmp_path):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        code, out, _ = run(capsys, "--format", "csv", "index", "build", str(wordfile), "-o", str(ixfile))
+        assert code == 0 and out == f"n,output\n7,{ixfile}\n"
+        code, out, _ = run(capsys, "--format", "json", "index", "build", str(wordfile), "-o", str(ixfile))
+        assert code == 0 and json.loads(out) == [{"n": 7, "output": str(ixfile)}]
+
+    @pytest.mark.parametrize("row", ["-1,2", "2,-1", "1,x", "1,2,3"])
     def test_query_batch_negative_count_names_row(self, capsys, tmp_path, row):
         wordfile = tmp_path / "word.txt"
         wordfile.write_text("1001101\n")
@@ -179,6 +193,62 @@ class TestIndex:
         code, out, err = run(capsys, "index", "query", str(bad), "--ones", "1", "--zeros", "1")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class Recorder(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestBlockWrites:
+    """stdout is written one block of lines per call, after every row of
+    a query batch has been answered."""
+
+    WORD = "1001101"
+
+    @pytest.fixture
+    def ixfile(self, capsys, tmp_path):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text(self.WORD + "\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        return ixfile
+
+    def recorded(self, monkeypatch, *argv):
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        code = main(list(argv))
+        monkeypatch.undo()
+        return code, recorder
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_query_batch_writes_whole_blocks(self, monkeypatch, tmp_path, ixfile, fmt):
+        rng = random.Random(7)
+        rows = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(2 * _BLOCK_LINES + 5)]
+        queries = tmp_path / "queries.csv"
+        queries.write_text("ones,zeros\n" + "".join(f"{o},{z}\n" for o, z in rows))
+        code, recorder = self.recorded(monkeypatch, "--format", fmt, "index", "query-batch", str(ixfile), str(queries))
+        ix = build_index(parse_word(self.WORD))
+        answers = ["yes" if ix.query(ones=o, zeros=z) else "no" for o, z in rows]
+        if fmt == "text":
+            expected = [f"{a}\n" for a in answers]
+        else:
+            expected = ["ones,zeros,answer\n"] + [f"{o},{z},{a}\n" for (o, z), a in zip(rows, answers)]
+        assert code == 0
+        assert recorder.getvalue() == "".join(expected)
+        assert recorder.writes == math.ceil(len(expected) / _BLOCK_LINES) == 3
+
+    def test_bad_row_past_first_block_writes_nothing(self, monkeypatch, tmp_path, ixfile):
+        queries = tmp_path / "queries.csv"
+        queries.write_text("1,1\n" * (_BLOCK_LINES + 10) + "1,x\n")
+        code, recorder = self.recorded(monkeypatch, "index", "query-batch", str(ixfile), str(queries))
+        assert code == 2
+        assert recorder.getvalue() == "" and recorder.writes == 0
 
 
 class TestEnum:

@@ -205,12 +205,12 @@ class TestWalkKernel:
     def test_window_prunes_to_reachable_nodes(self):
         # With a window only nodes that can still reach it are visited;
         # the histogram outside the window stays empty.
-        nodes, _, hist = combinatorics._walk_counts((0,), 12, 5, 7, False)
+        nodes, _, hist = combinatorics._walk_counts(0, 0, 12, 5, 7, False)
         full = census(12, threads=1).by_density
         assert hist == [0] * 5 + list(full[5:8]) + [0] * 5
         assert nodes[12] == sum(full[5:8])
         assert nodes[0] == 1
-        assert combinatorics._walk_counts((0, 1, 2), 12, 0, 1, False) == ([0] * 13,) * 3
+        assert combinatorics._walk_counts(0b11, 2, 12, 0, 1, False) == ([0] * 13,) * 3
 
     @pytest.mark.parametrize("split", [4, 8, 12])
     def test_density_fan_out_invariance(self, monkeypatch, split):

@@ -5,8 +5,11 @@ import pytest
 from pnfkit import (
     BinaryWord,
     ScaleError,
+    bound_check,
     census,
     class_statistics,
+    count_ecrit,
+    count_pnw,
     count_pnw_density,
     count_prenecklaces,
     enumerate_pn,
@@ -18,7 +21,9 @@ from pnfkit import (
     min_ones_profile,
     parikh_set,
     pnf_pair,
+    ratio_series,
 )
+from pnfkit.cli import main
 from pnfkit.bitword import PROFILE_LENGTH_GUARD
 from pnfkit.combinatorics import CLASS_LISTING_GUARD, CLASS_SCAN_GUARD, ENUM_LENGTH_GUARD, GF_ORDER_GUARD
 from pnfkit.errors import check_scale
@@ -79,3 +84,47 @@ def test_check_scale():
         check_scale("length", 6, 5, False)
     assert (exc.value.what, exc.value.size, exc.value.limit) == ("length", 6, 5)
     assert str(exc.value) == "length 6 refused: the limit is 5"
+
+
+# Entry points taking a length (or a series order, or an extension
+# length): each refuses -1 with a plain ValueError, never a ScaleError.
+LENGTH_TAKING = {
+    "census": census,
+    "count_pnw": count_pnw,
+    "count_ecrit": count_ecrit,
+    "enumerate_pn": lambda s: next(enumerate_pn(s)),
+    "count_pnw_density": lambda s: count_pnw_density(s, 0),
+    "class_scan": class_statistics,
+    "class_listing": lambda s: class_statistics(s, include_listing=True),
+    "count_prenecklaces": count_prenecklaces,
+    "expand_gf": lambda s: expand_gf(2, s),
+    "ext_count": lambda s: ext_count(BinaryWord(1, 1), s),
+    "bound_check": bound_check,
+    "ratio_series": ratio_series,
+}
+
+
+@pytest.mark.parametrize("name", LENGTH_TAKING)
+def test_negative_length_is_a_plain_value_error(name):
+    with pytest.raises(ValueError) as exc:
+        LENGTH_TAKING[name](-1)
+    assert type(exc.value) is ValueError
+
+
+def test_check_scale_refuses_negative_size_first():
+    for unsafe_large in (False, True):
+        with pytest.raises(ValueError) as exc:
+            check_scale("length", -1, 5, unsafe_large)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "length must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv", [["enum", "-1"], ["enum", "-1", "--classes"], ["prenecklaces", "-1"], ["gf", "2", "-1"]]
+)
+def test_cli_negative_length_exits_2(capsys, fmt, argv):
+    assert main(["--format", fmt, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
