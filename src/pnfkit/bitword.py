@@ -8,14 +8,16 @@ packed representation never leaks.
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import index, sub
+from operator import index
 from typing import Iterator
 
 from .errors import WordParseError, check_scale
 
-# A profile costs O(r^2) C-level steps over the positions of the rarer
-# symbol, r = min(|w|_0, |w|_1), so O(n^2) in the worst case. Anything
-# past this length is refused rather than left to crawl.
+# A profile costs at most r + n big-int tests, each a few operations on
+# an int of about r * log2(4n) bits, r = min(|w|_0, |w|_1): O(n^2 log n)
+# bit operations in the worst case, done a machine word at a time (see
+# _pnf1_bits). Anything past this length is refused rather than left to
+# crawl.
 PROFILE_LENGTH_GUARD = 100_000
 
 # Byte tables mapping an ASCII '0'/'1' rendering to 0/1 indicators of
@@ -171,26 +173,90 @@ def _pnf1_bits(bits: int, n: int) -> int:
 
     Bit k - 1 of the result is set exactly when the maximum-ones profile
     steps up at k, i.e. when k is the shortest factor length holding one
-    more 1 than any shorter factor. The work is O(r^2) C-level steps
-    over the positions of the rarer symbol, r = min(|w|_0, |w|_1).
+    more 1 than any shorter factor.
+
+    The scan is word-parallel over the positions of the rarer symbol,
+    r = min(|w|_0, |w|_1). They go into W-bit fields of one int q,
+    W = bitlen(2n + 2) + 1, so half = 2^(W-1) exceeds 2n + 2. Every
+    test adds a shifted copy of q to a running int b whose fields sit
+    in [0, 2 half), and reads the fields' top bits with one AND against
+    high (half in every field): a field of the sum reaches half exactly
+    when the span it holds passes the test. No sum or difference of two
+    fields leaves [0, 2 half), so no carry or borrow crosses a field.
+
+    The span sought for each t strictly increases in t, since a window
+    for t + 1 strictly contains one for t. So one running bound, span,
+    serves every t: it starts one past the last answer and rises by one
+    per failed test, never past n. A profile takes at most r + n tests,
+    each a few operations over about r * W bits, after O(r) steps that
+    pack q.
     """
-    # The profile is invariant under reversal, so positions are read off
-    # the most-significant-first rendering as they stand. The sentinel
-    # bit makes the rendering exactly n characters, also for n = 0.
-    text = format(bits | 1 << n, "b")[1:]
-    if 2 * bits.bit_count() <= n:
-        # Ones rarer: the shortest span holding t + 1 ones is one more
-        # than the least distance between ones t apart in the position
-        # list; the spans strictly increase, so the bits are distinct.
-        ones = [i for i, c in enumerate(text) if c == "1"]
-        return sum([1 << min(map(sub, ones[t:], ones)) for t in range(len(ones))])
-    # Zeros rarer: the longest factor with at most j zeros spans j + 1
-    # zero-gaps, E[i + j + 1] - E[i] - 1 over the zero positions E padded
-    # with -1 and n. The minimum-zeros profile steps up just past it, and
-    # since max-ones(k) = k - min-zeros(k), max-ones steps everywhere
-    # else: those lengths k, again distinct, leave the all-ones mask.
-    edges = [-1, *(i for i, c in enumerate(text) if c == "0"), n]
-    skipped = sum([1 << max(map(sub, edges[j + 1 :], edges)) for j in range(len(edges) - 2)])
+    w = (2 * n + 2).bit_length() + 1
+    r = bits.bit_count()
+    if 2 * r <= n:
+        # Ones rarer: the shortest factor holding t + 1 ones is one
+        # longer than g(t), the least distance between ones t apart. The
+        # 1-based positions p_1 < ... < p_r go in p_1 first, so field j
+        # holds n + p_(r-j), and field j of q - (q >> tW) is the distance
+        # p_(r-j) - p_(r-j-t) for j < r - t and a vacated n + p > n
+        # above. b holds half + span - q_j in field j, so field j of
+        # b + (q >> tW) reaches half exactly when that distance is at
+        # most span; vacated fields stay below half, as span < n.
+        if r < 2:
+            return r
+        q = 0
+        while bits:
+            low = bits & -bits
+            q = q << w | n + low.bit_length()
+            bits ^= low
+        ones = ((1 << r * w) - 1) // ((1 << w) - 1)
+        high = ones << (w - 1)
+        b = high - q
+        out = 1
+        span = shift = 0
+        for _ in range(1, r):
+            shift += w
+            s = q >> shift
+            b += ones
+            span += 1
+            while not (b + s) & high:
+                b += ones
+                span += 1
+            out |= 1 << span
+        return out
+    # Zeros rarer: the longest factor with at most j zeros is h(j + 1) - 1,
+    # with h(s) the widest distance between edges s apart over the 1-based
+    # zero positions padded with 0 and n + 1. The minimum-zeros profile
+    # steps up just past it, and since max-ones(k) = k - min-zeros(k),
+    # max-ones steps everywhere else: those lengths k, again distinct,
+    # leave the all-ones mask. Each edge e goes in as n + 1 - e, from
+    # n + 1 down to 0, so field j holds the j-th edge of the reversed
+    # word (same profile) and the fields ascend. Of the m = |w|_0 + 2
+    # fields, field j of (q >> sW) + high - q is half plus a distance
+    # for j < m - s and half less an edge above. b holds
+    # half - (span + 1) - q_j in field j, so field j of b + (q >> sW)
+    # reaches half exactly when that distance exceeds span; vacated
+    # fields stay in [0, half), as 2n + 2 < half.
+    zeros = bits ^ ((1 << n) - 1)
+    q = n + 1
+    while zeros:
+        low = zeros & -zeros
+        q = q << w | n + 1 - low.bit_length()
+        zeros ^= low
+    q <<= w
+    ones = ((1 << (n - r + 2) * w) - 1) // ((1 << w) - 1)
+    high = ones << (w - 1)
+    b = high - q - ones
+    skipped = span = shift = 0
+    for _ in range(n - r):
+        shift += w
+        s = q >> shift
+        b -= ones
+        span += 1
+        while (b + s) & high:
+            b -= ones
+            span += 1
+        skipped |= 1 << span
     return (1 << n) - 1 - (skipped >> 1)
 
 

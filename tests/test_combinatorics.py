@@ -391,7 +391,7 @@ class TestClassStatistics:
             assert class_statistics(n).class_count == count_pnw(n)
 
     def test_class_key_matches_window_scan(self):
-        for w in words_up_to(12):
+        for w in words_up_to(14):
             expected = word_from_steps(window_scan_profile(w, 1), 1)
             assert _pnf1_bits(w.packed, len(w)) == expected.packed
 

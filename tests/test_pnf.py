@@ -105,8 +105,16 @@ def shaped_word(shape: str, n: int) -> BinaryWord:
         p = 0.05 if shape == "sparse" else 0.95
         return BinaryWord.from_bits([int(rng.random() < p) for _ in range(n)])
     assert shape == "40-runs"
-    cuts = [0, *sorted(rng.sample(range(1, n), 39)), n]
-    return BinaryWord.from_bits([r % 2 for r in range(40) for _ in range(cuts[r + 1] - cuts[r])])
+    runs = min(40, n)  # words shorter than 40 alternate
+    cuts = [0, *sorted(rng.sample(range(1, n), runs - 1)), n]
+    return BinaryWord.from_bits(
+        [r % 2 for r in range(runs) for _ in range(cuts[r + 1] - cuts[r])]
+    )
+
+
+def word_with_ones(n: int, positions) -> BinaryWord:
+    """The word of length n with 1s at the given 1-based positions."""
+    return BinaryWord(sum(1 << (p - 1) for p in positions), n)
 
 
 class TestKernelMatchesWindowScan:
@@ -131,6 +139,34 @@ class TestKernelMatchesWindowScan:
         w = shaped_word(shape, 2000)
         assert len(w) == (0 if shape == "empty" else 2000)
         self.assert_matches(w)
+
+    @pytest.mark.parametrize("k", range(3, 12))
+    def test_lengths_where_field_width_changes(self, k):
+        # The kernel's field width, bitlen(2n + 2) + 1, grows between
+        # n = 2^k - 2 and 2^k - 1.
+        for n in (2**k - 2, 2**k - 1, 2**k, 2**k + 1):
+            for shape in ("random", "dense", "sparse", "40-runs"):
+                self.assert_matches(shaped_word(shape, n))
+
+    @pytest.mark.parametrize("n", [2000, 2001])
+    def test_branch_tie(self, n):
+        # Ones-count either side of n / 2, where the kernel switches from
+        # the ones-rarer to the zeros-rarer branch.
+        rng = random.Random(n)
+        for ones in sorted({(n - 1) // 2, n // 2, (n + 1) // 2, n // 2 + 1}):
+            self.assert_matches(word_with_ones(n, rng.sample(range(1, n + 1), ones)))
+
+    @pytest.mark.parametrize(
+        "positions",
+        [(), (1,), (2000,), (1000,), (1, 2000), (1, 2), (1999, 2000), (1000, 1001), (3, 1800)],
+        ids=["none", "first", "last", "middle", "both-ends", "adjacent-start",
+             "adjacent-end", "adjacent-middle", "far-apart"],
+    )
+    def test_few_rarer_symbols(self, positions):
+        # assert_matches reads both profiles, so each word runs the
+        # ones-rarer branch on itself and the zeros-rarer one on its
+        # complement.
+        self.assert_matches(word_with_ones(2000, positions))
 
 
 class TestDifferenceWord:
