@@ -260,20 +260,17 @@ def _pnf1_bits(bits: int, n: int) -> int:
     return (1 << n) - 1 - (skipped >> 1)
 
 
-def _max_profile(bits: int, n: int) -> tuple[int, ...]:
-    return tuple(BinaryWord(_pnf1_bits(bits, n), n).prefix_counts(1))
-
-
 def max_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:
     """f[k], k = 0..n: the largest ones-count over all length-k factors of w."""
-    check_scale("profile length", len(w), PROFILE_LENGTH_GUARD, unsafe_large)
-    return _max_profile(w.packed, len(w))
+    n = len(w)
+    check_scale("profile length", n, PROFILE_LENGTH_GUARD, unsafe_large)
+    return tuple(BinaryWord(_pnf1_bits(w.packed, n), n).prefix_counts(1))
 
 
 def max_zeros_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:
-    """f[k], k = 0..n: the largest zeros-count over all length-k factors of w."""
-    check_scale("profile length", len(w), PROFILE_LENGTH_GUARD, unsafe_large)
-    return _max_profile(w.complement().packed, len(w))
+    """f[k], k = 0..n: the largest zeros-count over all length-k factors of w,
+    which is the largest ones-count over those of its complement."""
+    return max_ones_profile(w.complement(), unsafe_large=unsafe_large)
 
 
 def min_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -98,18 +99,18 @@ def _walk(
 ) -> Iterator[int]:
     """Walk the subtree under a 1-prefix-normal root down to depth n.
 
-    The root is the word of length m packed in root_bits (position i at
-    bit i - 1). Only nodes that can still reach a leaf with lo..hi ones are
-    visited. tally is (nodes, ecrit, hist), three lists of length n + 1
-    the walk adds to: visited nodes per depth, those among them that
-    cannot take a 1, and the leaf density histogram. ecrit[n] is counted
+    The root is the word of length m <= n packed in root_bits (position
+    i at bit i - 1). Only nodes that can still reach a leaf with lo..hi
+    ones are visited. tally is (nodes, ecrit, hist), three lists of
+    length n + 1 the walk adds to: visited nodes per depth, those among
+    them that cannot take a 1, and the leaf density histogram. Each leaf
+    is recorded once, in hist: the walk leaves nodes[n] alone, and a
+    caller that reads it fills it in as sum(hist). ecrit[n] is counted
     only with leaf_ecrit. With emit set the walk yields every leaf as a
     packed int, 1-child first, so in descending lexicographic order;
     otherwise it yields nothing.
     """
     nodes, ecrit, hist = tally
-    if m > n:
-        raise ValueError("root longer than requested depth")
     t = root_bits.bit_count()
     if t > hi or t + n - m < lo:
         return
@@ -130,7 +131,6 @@ def _walk(
         word += b * unit[i - 1]
         slack = (slack << width) + word - b * ones[i] + zero_step + b
     if m == n:
-        nodes[n] += 1
         hist[t] += 1
         if leaf_ecrit and slack & tops[n] != tops[n]:
             ecrit[n] += 1
@@ -149,14 +149,12 @@ def _walk(
         slack <<= width
         if m == last:
             if ok and t < hi:
-                nodes[n] += 1
                 hist[t + 1] += 1
                 if leaf_ecrit and (slack + word + unit[m] - one_step[n]) & tops[n] != tops[n]:
                     ecrit[n] += 1
                 if emit:
                     yield bits | 1 << m
             if t >= lo:
-                nodes[n] += 1
                 hist[t] += 1
                 if leaf_ecrit and not (ok and m > 0) and (slack + word + zero_step) & tops[n] != tops[n]:
                     ecrit[n] += 1
@@ -180,10 +178,12 @@ def _walk(
 
 
 def _walk_counts(root_bits: int, m: int, n: int, lo: int, hi: int, leaf_ecrit: bool) -> Tally:
-    """The tally of one counting walk (see _walk)."""
+    """The tally of one counting walk (see _walk), with nodes[n] filled
+    in as the sum of the leaf histogram."""
     tally = _new_tally(n)
     # A counting walk never yields: one next() runs it to the end.
     next(_walk(root_bits, m, n, lo, hi, leaf_ecrit, tally, False), None)
+    tally[0][n] = sum(tally[2])
     return tally
 
 
@@ -407,13 +407,11 @@ def ext_count(
     check_scale("enumeration length", total_len, ENUM_LENGTH_GUARD, unsafe_large)
     if not is_prefix_normal(w, 1):
         raise ContractError("ext_count requires a 1-prefix-normal base word")
-    if d is None:
-        return _walk_counts(w.packed, len(w), total_len, 0, total_len, False)[0][total_len]
-    if d < 0:
+    if d is not None and d < 0:
         raise ValueError("density must be non-negative")
-    if d > total_len:
-        return 0
-    return _walk_counts(w.packed, len(w), total_len, d, d, False)[2][d]
+    # A window no leaf can reach (d > total_len) ends the walk at its root.
+    lo, hi = (0, total_len) if d is None else (d, d)
+    return sum(_walk_counts(w.packed, len(w), total_len, lo, hi, False)[2])
 
 
 def ext_bijection_check(n: int, d: int, *, unsafe_large: bool = False) -> bool:
@@ -446,10 +444,6 @@ class Separation:
     witness: str
 
 
-def _zeros(n: int) -> BinaryWord:
-    return BinaryWord(0, n)
-
-
 def separating_suffix(v: BinaryWord, w: BinaryWord) -> Separation:
     """Build and verify a suffix separating the extension languages of
     two distinct 1-prefix-normal words that start with 1."""
@@ -467,25 +461,30 @@ def separating_suffix(v: BinaryWord, w: BinaryWord) -> Separation:
         # First difference inside the shorter word: pad past the longer
         # word, then replay whichever word holds the 1.
         winner = a if a.bit(diff) == 1 else b
-        u = _zeros(len(b)) + winner
+        u = BinaryWord(0, len(b)) + winner
     elif any(b.bit(i) == 1 for i in range(len(a) + 1, len(b) + 1)):
         # a is a proper prefix and b gains a 1 later: b wins the same way.
-        u = _zeros(len(b)) + b
+        u = BinaryWord(0, len(b)) + b
     else:
         # b = a 0^m. Either doubling a already separates, or the least
         # zero-padding k that makes a 0^k a normal does (shifted by one).
+        # If a 0^k a is normal so is a 0^(k+1) a, so k is bisected: a
+        # window of a 0^(k+1) a that crosses the gap, less one gap zero,
+        # is a window of a 0^k a with the same ones, one symbol shorter,
+        # and the prefix one symbol longer holds at least as many ones.
+        # Windows that do not cross the gap hold because a is normal.
         if is_prefix_normal(a + a, 1):
             u = a + a
         else:
-            for k in range(1, len(a) + 1):
-                if is_prefix_normal(a + _zeros(k) + a, 1):
-                    u = _zeros(k - 1) + a
-                    break
-            else:
+            k = 1 + bisect_left(
+                range(1, len(a) + 1), True, key=lambda k: is_prefix_normal(a + BinaryWord(0, k) + a, 1)
+            )
+            if k > len(a):
                 raise PnfkitError(
                     f"no zero padding up to {len(a)} makes {a}0^k{a} normal; "
                     "yet the construction guarantees one exists"
                 )
+            u = BinaryWord(0, k - 1) + a
 
     v_normal = is_prefix_normal(v + u, 1)
     w_normal = is_prefix_normal(w + u, 1)

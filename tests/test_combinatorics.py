@@ -3,6 +3,7 @@ import math
 import pytest
 
 from pnfkit import (
+    BinaryWord,
     ContractError,
     ScaleError,
     bound_check,
@@ -452,6 +453,36 @@ class TestSeparatingSuffix:
                 assert is_prefix_normal(v + sep.suffix, 1) != is_prefix_normal(
                     w + sep.suffix, 1
                 )
+
+    def test_padding_search_matches_linear_scan(self):
+        # b = a 0: the bisected padding equals the least k a scan from
+        # k = 1 finds.
+        for n in range(1, 13):
+            for a in enumerate_pn(n, 1):
+                if a.bit(1) != 1:
+                    continue
+                if is_prefix_normal(a + a, 1):
+                    expected = a + a
+                else:
+                    k = next(k for k in range(1, n + 1) if is_prefix_normal(a + BinaryWord(0, k) + a, 1))
+                    expected = BinaryWord(0, k - 1) + a
+                assert separating_suffix(a, a + parse_word("0")).suffix == expected, a
+
+    def test_padding_search_is_logarithmic(self, monkeypatch):
+        # For a = 1 0^(n-2) 1 the least padding is n - 2: a scan from
+        # k = 1 makes about n normality calls, bisection about log2 n.
+        calls = []
+        real = combinatorics.is_prefix_normal
+
+        def counting(w, x):
+            calls.append(len(w))
+            return real(w, x)
+
+        monkeypatch.setattr(combinatorics, "is_prefix_normal", counting)
+        n = 2000
+        a = parse_word("1" + "0" * (n - 2) + "1")
+        assert separating_suffix(a, a + parse_word("0")).suffix == BinaryWord(0, n - 3) + a
+        assert len(calls) <= 30
 
     def test_contract_errors(self):
         with pytest.raises(ContractError):
