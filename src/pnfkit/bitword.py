@@ -14,7 +14,7 @@ from typing import Iterator
 from .errors import WordParseError, check_scale
 
 # A profile costs at most r + n big-int tests, each a few operations on
-# an int of about r * log2(4n) bits, r = min(|w|_0, |w|_1): O(n^2 log n)
+# an int of at most r * log2(4n) bits, r = min(|w|_0, |w|_1): O(n^2 log n)
 # bit operations in the worst case, done a machine word at a time (see
 # _pnf1_bits). Anything past this length is refused rather than left to
 # crawl.
@@ -187,9 +187,12 @@ def _pnf1_bits(bits: int, n: int) -> int:
     The span sought for each t strictly increases in t, since a window
     for t + 1 strictly contains one for t. So one running bound, span,
     serves every t: it starts one past the last answer and rises by one
-    per failed test, never past n. A profile takes at most r + n tests,
-    each a few operations over about r * W bits, after O(r) steps that
-    pack q.
+    per failed test, never past n. The scan narrows: after the shift by
+    t * W the top t fields of s are empty and those of b can never pass
+    (see each branch), so step t drops them from mask, ones and b, and
+    its tests run on the (F - t) * W live bits, F the field count. A
+    profile takes at most r + n tests of a few operations each: the sum
+    of their live bits, at most (r + n) * F * W, after O(r) packing steps.
     """
     w = (2 * n + 2).bit_length() + 1
     r = bits.bit_count()
@@ -209,15 +212,17 @@ def _pnf1_bits(bits: int, n: int) -> int:
             low = bits & -bits
             q = q << w | n + low.bit_length()
             bits ^= low
-        ones = ((1 << r * w) - 1) // ((1 << w) - 1)
+        mask = (1 << r * w) - 1
+        ones = mask // ((1 << w) - 1)
         high = ones << (w - 1)
         b = high - q
         out = 1
-        span = shift = 0
+        span, s = 0, q
         for _ in range(1, r):
-            shift += w
-            s = q >> shift
-            b += ones
+            s >>= w
+            mask >>= w
+            ones >>= w
+            b = (b & mask) + ones
             span += 1
             while not (b + s) & high:
                 b += ones
@@ -244,14 +249,17 @@ def _pnf1_bits(bits: int, n: int) -> int:
         q = q << w | n + 1 - low.bit_length()
         zeros ^= low
     q <<= w
-    ones = ((1 << (n - r + 2) * w) - 1) // ((1 << w) - 1)
+    mask = (1 << (n - r + 2) * w) - 1
+    ones = mask // ((1 << w) - 1)
     high = ones << (w - 1)
     b = high - q - ones
-    skipped = span = shift = 0
+    skipped = span = 0
+    s = q
     for _ in range(n - r):
-        shift += w
-        s = q >> shift
-        b -= ones
+        s >>= w
+        mask >>= w
+        ones >>= w
+        b = (b & mask) - ones
         span += 1
         while (b + s) & high:
             b -= ones

@@ -9,9 +9,7 @@ the CSV fields one-to-one). Exit codes: 0 success, 1 domain violation,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import astuple
 from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -84,6 +82,8 @@ def _blocks(items: Iterable) -> Iterator[list]:
 
 def _json_chunks(fields: list[str], rows: Iterable[tuple]) -> Iterator[str]:
     """json.dumps of the list of row objects, one chunk per block of rows."""
+    import json  # only JSON output loads it
+
     sep = "["
     for block in _blocks(dict(zip(fields, row)) for row in rows):
         yield sep + json.dumps(block)[1:-1]
@@ -197,7 +197,7 @@ def _cmd_enum(args) -> int:
         if args.n is not None:
             raise ValueError("--ratios replaces the length argument; drop N")
         rows = combinatorics.ratio_series(args.ratios, unsafe_large=unsafe)
-        _emit(args, ["n", "growth_ratio", "ecrit_ratio", "ecrit_ratio_scaled"], map(astuple, rows))
+        _emit(args, ["n", "growth_ratio", "ecrit_ratio", "ecrit_ratio_scaled"], rows)
         return EXIT_OK
     if args.n is None:
         raise ValueError("enum needs a length N (or --ratios N)")
@@ -280,7 +280,7 @@ def _cmd_bounds(args) -> int:
     else:
         lines.append(f"upper bound holds for all computed n >= {threshold}")
     fields = ["n", "pnw", "upper_bound", "upper_holds", "lower_bound", "lower_holds"]
-    _emit(args, fields, map(astuple, rows), text_lines=lines)
+    _emit(args, fields, rows, text_lines=lines)
     return EXIT_OK
 
 

@@ -40,11 +40,9 @@ import math
 import os
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bitword import BinaryWord, _check_symbol, _pnf1_bits
 from .errors import ContractError, PnfkitError, check_scale
@@ -62,11 +60,11 @@ THREADS_ENV_VAR = "PNFKIT_THREADS"
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count for counting walks: explicit value, else available
-    cores capped by the PNFKIT_THREADS environment variable."""
+    """Worker count for counting walks: explicit value, else the CPUs this
+    process may run on, capped by the PNFKIT_THREADS environment variable."""
     if threads is not None:
         return max(1, threads)
-    count = os.cpu_count() or 1
+    count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cap = os.environ.get(THREADS_ENV_VAR)
     if cap:
         try:
@@ -214,14 +212,15 @@ def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) ->
     tally = (shallow[0][:split_depth] + pad, shallow[1][:split_depth] + pad, [0] * (n + 1))
     chunk = max(1, len(roots) // (workers * 8))
     tasks = (roots, repeat(split_depth), repeat(n), repeat(lo), repeat(hi), repeat(leaf_ecrit))
+    from concurrent.futures import ProcessPoolExecutor  # only a forking walk loads it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for sub in pool.map(_walk_counts, *tasks, chunksize=chunk):
             tally = tuple(list(map(add, total, part)) for total, part in zip(tally, sub))
     return tally
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Per-length counts from one walk to depth n.
 
     pnw[m] counts the 1-prefix-normal words of length m; ecrit[m] counts
@@ -296,15 +295,13 @@ def count_pnw_density(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     representative: BinaryWord
     size: int
     members: tuple[BinaryWord, ...] | None = None
 
 
-@dataclass(frozen=True)
-class ClassStatistics:
+class ClassStatistics(NamedTuple):
     n: int
     class_count: int
     max_class_size: int
@@ -435,8 +432,7 @@ def ext_bijection_check(n: int, d: int, *, unsafe_large: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(NamedTuple):
     """A suffix u such that exactly one of v u, w u is 1-prefix-normal;
     witness names the normal side ("v" or "w")."""
 
@@ -501,8 +497,7 @@ def separating_suffix(v: BinaryWord, w: BinaryWord) -> Separation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     n: int
     pnw: int
     upper_bound: float
@@ -558,8 +553,7 @@ def upper_bound_threshold(rows: list[BoundRow]) -> int | None:
     return threshold
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
     n: int
     growth_ratio: float
     ecrit_ratio: float

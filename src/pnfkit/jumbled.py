@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
 from operator import gt
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .bitword import BinaryWord
 from .errors import IndexFormatError
@@ -23,8 +22,7 @@ from .pnf import PnfPair, pnf_pair
 MAGIC = b"PNFIX1"
 
 
-@dataclass(frozen=True)
-class JumbledIndex:
+class JumbledIndex(NamedTuple):
     """Immutable query structure for one word; share freely across threads.
 
     fmax and fmin are tuples of n + 1 counts, the ones-prefix counts of

@@ -18,7 +18,7 @@ keeps its own packed form of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitword import BinaryWord, _check_symbol, max_ones_profile
 from .errors import ContractError
@@ -82,8 +82,7 @@ def check_pos_superadditive_char(w: BinaryWord) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GapDecomposition:
+class GapDecomposition(NamedTuple):
     """A 1-initial word written as 1 0^{r_1 - 1} 1 0^{r_2 - 1} ... 1 0^{r_d - 1}.
 
     d is the density (number of 1s) and the gaps r_1..r_d sum to the

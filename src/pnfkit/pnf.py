@@ -8,7 +8,6 @@ vectors of the factors of w exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 from typing import NamedTuple
 
@@ -34,8 +33,7 @@ class ParikhVector(NamedTuple):
     ones: int
 
 
-@dataclass(frozen=True)
-class PnfPair:
+class PnfPair(NamedTuple):
     """The two normal forms of a word."""
 
     pnf1: BinaryWord

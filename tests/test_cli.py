@@ -1,12 +1,16 @@
 import io
 import json
 import math
+import os
 import random
 import struct
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pnfkit
 from pnfkit import build_index, parse_word
 from pnfkit.cli import _BLOCK_LINES, main
 
@@ -449,3 +453,75 @@ class TestMisc:
         code, out, _ = run(capsys, "prenecklaces", "10001", "--unsafe-large")
         assert code == 0
         assert int(out) > 0
+
+
+# Pinned CLI output of two commands that render records; the JSON form
+# is built below from the same cells.
+RATIOS_6_CSV = """\
+n,growth_ratio,ecrit_ratio,ecrit_ratio_scaled
+1,2.0,0.5,nan
+2,1.5,0.3333333333333333,0.9617966939259756
+3,1.6666666666666667,0.4,1.0922870719522049
+4,1.6,0.25,0.7213475204444817
+5,1.75,0.35714285714285715,1.1095266688564498
+6,1.6428571428571428,0.21739130434782608,0.7279703824581486
+"""
+
+BOUNDS_8_CSV = """\
+n,pnw,upper_bound,upper_holds,lower_bound,lower_holds
+1,2,4.0,true,2.0,true
+2,3,4.0,true,0.07928247168814882,true
+3,5,5.333333333333334,true,0.0189418123758974,true
+4,8,8.0,true,0.006285710316982119,true
+5,14,12.8,false,0.002525580954020832,true
+6,23,21.333333333333336,false,0.0011589381798955943,true
+7,41,36.571428571428584,false,0.0005879585414653282,true
+8,70,64.0,false,0.00032305827673565087,true
+"""
+
+
+def json_from_csv(text):
+    """The JSON output that mirrors a CSV output cell for cell."""
+
+    def value(cell):
+        if cell in ("true", "false"):
+            return cell == "true"
+        return float(cell) if "." in cell or cell == "nan" else int(cell)
+
+    header, *lines = text.splitlines()
+    fields = header.split(",")
+    return json.dumps([dict(zip(fields, map(value, line.split(",")))) for line in lines]) + "\n"
+
+
+class TestRecordOutput:
+    @pytest.mark.parametrize(
+        "argv, csv", [(("enum", "--ratios", "6"), RATIOS_6_CSV), (("bounds", "8"), BOUNDS_8_CSV)]
+    )
+    def test_csv_and_json_pinned(self, capsys, argv, csv):
+        assert run(capsys, "--format", "csv", *argv) == (0, csv, "")
+        assert run(capsys, "--format", "json", *argv) == (0, json_from_csv(csv), "")
+
+
+class TestStartup:
+    def _python(self, *args):
+        env = dict(os.environ)
+        src = str(Path(pnfkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60, check=True
+        ).stdout
+
+    def test_cli_import_loads_no_unused_stdlib(self):
+        # Every command pays for what importing the CLI loads; the process
+        # pool is loaded only by a forking walk, json only by JSON output.
+        added = self._python(
+            "-c",
+            "import sys; bare = set(sys.modules); import pnfkit.cli; "
+            "print(*sorted(set(sys.modules) - bare))",
+        ).split()
+        assert "pnfkit.cli" in added
+        unused = {"concurrent.futures", "multiprocessing", "dataclasses", "json"}
+        assert unused.isdisjoint(added)
+
+    def test_module_entry_point(self):
+        assert self._python("-m", "pnfkit.cli", "pnf", "1") == "PNF1=1\n"

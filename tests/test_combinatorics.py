@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import pytest
 
@@ -148,6 +150,14 @@ class TestCounts:
             resolve_threads()
         assert resolve_threads(4) == 4
 
+    def test_threads_default_counts_affinity(self, monkeypatch):
+        # A process pinned to one CPU gets one worker, however many the
+        # machine has.
+        monkeypatch.delenv("PNFKIT_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_threads() == 1
+
     def test_partition_lower_bound(self):
         c = census(20)
         for n in range(1, 21):
@@ -224,13 +234,13 @@ class TestWalkKernel:
         # A narrow window, or a shallow tree, walks in-process; a walk
         # with enough leaves forks.
         pools = []
-        real = combinatorics.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
 
         def recording_pool(**options):
             pools.append(options)
             return real(**options)
 
-        monkeypatch.setattr(combinatorics, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         for d in (2, 5, 24, 27):
             assert count_pnw_density(28, d, threads=2) == count_density_oracle((0,), 28, d)
         assert census(16, threads=2).pnw[16] == 7568
