@@ -36,13 +36,15 @@ def _read_word(args: argparse.Namespace) -> BinaryWord:
             raise ValueError(
                 f"word argument longer than {WORD_ARG_CAP} symbols; use --file or --stdin"
             )
-        text = args.word
-    elif args.file is not None:
-        with open(args.file, "r", encoding="ascii") as fp:
-            text = fp.read().rstrip("\n")
-    else:
-        text = sys.stdin.read().rstrip("\n")
-    return parse_word(text)
+        return parse_word(args.word)
+    if args.file is not None:
+        return _read_word_file(args.file)
+    return parse_word(sys.stdin.read().rstrip("\n"))
+
+
+def _read_word_file(path: str) -> BinaryWord:
+    with open(path, "r", encoding="ascii") as fp:
+        return parse_word(fp.read().rstrip("\n"))
 
 
 def _add_word_source(sub: argparse.ArgumentParser) -> None:
@@ -152,8 +154,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_index(args) -> int:
     if args.index_cmd == "build":
-        with open(args.wordfile, "r", encoding="ascii") as fp:
-            w = parse_word(fp.read().rstrip("\n"))
+        w = _read_word_file(args.wordfile)
         ix = jumbled.build_index(w, unsafe_large=args.unsafe_large)
         with open(args.output, "wb") as out:
             jumbled.dump_index(ix, out)
@@ -337,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("index", help="build or query a jumbled-matching index")
     isub = p.add_subparsers(dest="index_cmd", required=True)
-    b = isub.add_parser("build", help="index a word file")
+    b = isub.add_parser("build", parents=[common], help="index a word file")
     b.add_argument("wordfile")
     b.add_argument("-o", "--output", required=True)
-    q = isub.add_parser("query", help="ask whether (ones, zeros) occurs as a factor")
+    q = isub.add_parser("query", parents=[common], help="ask whether (ones, zeros) occurs as a factor")
     q.add_argument("ixfile")
     q.add_argument("--ones", type=int, required=True)
     q.add_argument("--zeros", type=int, required=True)
-    qb = isub.add_parser("query-batch", help="answer one query per CSV row")
+    qb = isub.add_parser("query-batch", parents=[common], help="answer one query per CSV row")
     qb.add_argument("ixfile")
     qb.add_argument("csvfile")
     p.set_defaults(fn=_cmd_index)

@@ -11,7 +11,7 @@ derived once in O(n).
 from __future__ import annotations
 
 import io
-import struct
+from binascii import crc32
 from operator import gt
 from typing import BinaryIO, NamedTuple
 
@@ -19,7 +19,7 @@ from .bitword import BinaryWord
 from .errors import IndexFormatError
 from .pnf import PnfPair, pnf_pair
 
-MAGIC = b"PNFIX1"
+MAGIC = b"PNFIX2"
 
 
 class JumbledIndex(NamedTuple):
@@ -93,10 +93,12 @@ def query_bruteforce(w: BinaryWord, *, ones: int, zeros: int) -> bool:
 
 # --- persistent format -----------------------------------------------------
 #
-# magic "PNFIX1" | n as u64 LE | pnf1 bits | pnf0 bits | fmax | fmin
+# magic "PNFIX2" | n as u64 LE | pnf1 bits | pnf0 bits | CRC-32 as u32 LE
 #
 # Words are packed LSB-first (position 8j+i+1 at bit i of byte j) and
-# padded to a byte boundary; each profile is n+1 u32 LE values.
+# padded to a byte boundary. The CRC-32 (binascii.crc32) covers every
+# byte before it. The profiles are not stored: they are the ones-prefix
+# counts of the forms, derived on load.
 
 
 def _pack_word(w: BinaryWord) -> bytes:
@@ -110,16 +112,9 @@ def _unpack_word(data: bytes, n: int) -> BinaryWord:
     return BinaryWord(bits, n)
 
 
-def _profile_bytes(ix: JumbledIndex) -> bytes:
-    return struct.pack(f"<{2 * (ix.n + 1)}I", *ix.fmax, *ix.fmin)
-
-
 def dump_index(ix: JumbledIndex, fp: BinaryIO) -> None:
-    fp.write(MAGIC)
-    fp.write(struct.pack("<Q", ix.n))
-    fp.write(_pack_word(ix.pnf_pair.pnf1))
-    fp.write(_pack_word(ix.pnf_pair.pnf0))
-    fp.write(_profile_bytes(ix))
+    data = b"".join((MAGIC, ix.n.to_bytes(8, "little"), *map(_pack_word, ix.pnf_pair)))
+    fp.write(data + crc32(data).to_bytes(4, "little"))
 
 
 def load_index(fp: BinaryIO) -> JumbledIndex:
@@ -127,8 +122,10 @@ def load_index(fp: BinaryIO) -> JumbledIndex:
     inconsistent ones.
 
     The stored length must match the bytes left in the file before any
-    of them is read, and the stored profiles must equal the prefix
-    counts of the stored forms.
+    of them is read. Then the CRC-32 must match, the padding bits must
+    be clear, and the prefix counts of the two forms must be consistent:
+    the minimum never exceeds the maximum, and both end at the same
+    number of ones.
     """
     magic = fp.read(len(MAGIC))
     if magic != MAGIC:
@@ -136,22 +133,22 @@ def load_index(fp: BinaryIO) -> JumbledIndex:
     header = fp.read(8)
     if len(header) != 8:
         raise IndexFormatError("truncated header")
-    (n,) = struct.unpack("<Q", header)
+    n = int.from_bytes(header, "little")
     word_bytes = (n + 7) // 8
     here = fp.tell()
     left = fp.seek(0, io.SEEK_END) - here
-    if left != 2 * word_bytes + 8 * (n + 1):
+    if left != 2 * word_bytes + 4:
         raise IndexFormatError("file length does not match the stored word length")
     fp.seek(here)
     body = fp.read(left)
+    if crc32(body[:-4], crc32(magic + header)) != int.from_bytes(body[-4:], "little"):
+        raise IndexFormatError("CRC-32 mismatch: the file is corrupt")
     ix = _index_of(
         PnfPair(
             _unpack_word(body[:word_bytes], n),
-            _unpack_word(body[word_bytes : 2 * word_bytes], n),
+            _unpack_word(body[word_bytes:-4], n),
         )
     )
-    if body[2 * word_bytes :] != _profile_bytes(ix):
-        raise IndexFormatError("stored profiles disagree with the normal forms")
     if any(map(gt, ix.fmin, ix.fmax)):
         raise IndexFormatError("minimum exceeds maximum profile")
     if ix.fmax[n] != ix.fmin[n]:

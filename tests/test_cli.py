@@ -6,6 +6,7 @@ import random
 import struct
 import subprocess
 import sys
+from binascii import crc32
 from pathlib import Path
 
 import pytest
@@ -136,7 +137,8 @@ class TestIndex:
         ixfile = tmp_path / "word.pnfix"
         code, out, _ = run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
         assert code == 0 and out == f"indexed 7 symbols -> {ixfile}\n"
-        assert ixfile.read_bytes().startswith(b"PNFIX1")
+        data = ixfile.read_bytes()
+        assert data.startswith(b"PNFIX2") and len(data) == 20
 
         code, out, _ = run(capsys, "index", "query", str(ixfile), "--ones", "3", "--zeros", "2")
         assert code == 0 and out == "yes\n"
@@ -190,13 +192,65 @@ class TestIndex:
 
     @pytest.mark.parametrize("n", [2**63, 2**64 - 1])
     def test_hostile_length_header_rejected(self, capsys, tmp_path, n):
-        # A 22-byte file whose header claims a huge word: rejected from
-        # the file size, before anything sized by n is read or allocated.
+        # An 18-byte file whose header claims a huge word, with a valid
+        # CRC-32 of its empty forms: rejected from the file size, before
+        # anything sized by n is read or allocated.
+        head = b"PNFIX2" + struct.pack("<Q", n)
         bad = tmp_path / "hostile.pnfix"
-        bad.write_bytes(b"PNFIX1" + struct.pack("<Q", n) + bytes(8))
+        bad.write_bytes(head + struct.pack("<I", crc32(head)))
         code, out, err = run(capsys, "index", "query", str(bad), "--ones", "1", "--zeros", "1")
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: file length does not match the stored word length\n"
+
+    def test_pnfix1_file_rejected(self, capsys, tmp_path):
+        # The PNFIX1 layout of 1001101: magic, n, the two forms, then both
+        # profiles as eight u32 LE values each.
+        ix = build_index(parse_word("1001101"))
+        old = tmp_path / "old.pnfix"
+        old.write_bytes(
+            b"PNFIX1"
+            + struct.pack("<Q", 7)
+            + bytes([ix.pnf_pair.pnf1.packed, ix.pnf_pair.pnf0.packed])
+            + struct.pack("<16I", *ix.fmax, *ix.fmin)
+        )
+        code, out, err = run(capsys, "index", "query", str(old), "--ones", "3", "--zeros", "2")
+        assert code == 1 and out == ""
+        assert err == "error: bad magic b'PNFIX1', expected b'PNFIX2'\n"
+
+    def test_build_bad_character_names_position(self, capsys, tmp_path):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("10x1\n")
+        code, out, err = run(capsys, "index", "build", str(wordfile), "-o", str(tmp_path / "w.pnfix"))
+        assert code == 2 and out == ""
+        assert err == "error: invalid character 'x' at position 3 (expected '0' or '1')\n"
+        assert not (tmp_path / "w.pnfix").exists()
+
+    @pytest.mark.parametrize("command", ["build", "query", "query-batch"])
+    def test_format_after_index_arguments(self, capsys, tmp_path, command):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        queries = tmp_path / "queries.csv"
+        queries.write_text("3,2\n0,3\n")
+        args = {
+            "build": [str(wordfile), "-o", str(ixfile)],
+            "query": [str(ixfile), "--ones", "3", "--zeros", "2"],
+            "query-batch": [str(ixfile), str(queries)],
+        }[command]
+        leading = run(capsys, "--format", "csv", "index", command, *args)
+        trailing = run(capsys, "index", command, *args, "--format", "csv")
+        assert leading[0] == 0 and leading[1].count(",") >= 1
+        assert trailing == leading
+        # A trailing flag overrides a leading one.
+        assert run(capsys, "--format", "json", "index", command, *args, "--format", "csv") == leading
+
+    def test_unsafe_large_after_build_arguments(self, capsys, tmp_path):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        code, out, _ = run(capsys, "index", "build", str(wordfile), "-o", str(ixfile), "--unsafe-large")
+        assert code == 0 and out == f"indexed 7 symbols -> {ixfile}\n"
 
 
 class Recorder(io.StringIO):

@@ -1,5 +1,6 @@
 import io
 import struct
+from binascii import crc32
 
 import pytest
 
@@ -142,6 +143,8 @@ class TestSerialization:
         assert loaded.fmax == ix.fmax
         assert loaded.fmin == ix.fmin
         assert loaded.pnf_pair == ix.pnf_pair
+        # magic, n, the two forms and the CRC-32: no stored profiles.
+        assert len(buf.getvalue()) == 18 + 2 * ((len(w) + 7) // 8)
         return buf.getvalue()
 
     def test_roundtrip(self, rng):
@@ -149,10 +152,11 @@ class TestSerialization:
         self.roundtrip(parse_word("1001101"))
         for _ in range(20):
             self.roundtrip(random_word(rng, rng.randrange(0, 100)))
+        self.roundtrip(random_word(rng, 4096))
 
     def test_magic_header(self):
         data = self.roundtrip(parse_word("1001101"))
-        assert data.startswith(b"PNFIX1")
+        assert data.startswith(b"PNFIX2")
 
     def test_bad_magic_rejected(self):
         data = bytearray(self.roundtrip(parse_word("1001101")))
@@ -172,11 +176,25 @@ class TestSerialization:
         with pytest.raises(IndexFormatError):
             load_index(io.BytesIO(data + b"\x00"))
 
-    def test_corrupt_profile_rejected(self):
+    def test_corrupt_checksum_rejected(self):
         data = bytearray(self.roundtrip(parse_word("1001101")))
         data[-1] ^= 0x40
-        with pytest.raises(IndexFormatError):
+        with pytest.raises(IndexFormatError, match="CRC-32"):
             load_index(io.BytesIO(bytes(data)))
+
+    def test_pnfix1_file_rejected(self):
+        # The PNFIX1 layout: the two forms followed by both profiles as
+        # n + 1 u32 LE values each, no checksum.
+        ix = build_index(parse_word("1001101"))
+        data = (
+            b"PNFIX1"
+            + struct.pack("<Q", ix.n)
+            + ix.pnf_pair.pnf1.packed.to_bytes(1, "little")
+            + ix.pnf_pair.pnf0.packed.to_bytes(1, "little")
+            + struct.pack(f"<{2 * (ix.n + 1)}I", *ix.fmax, *ix.fmin)
+        )
+        with pytest.raises(IndexFormatError, match=r"b'PNFIX1', expected b'PNFIX2'"):
+            load_index(io.BytesIO(data))
 
     @pytest.mark.parametrize(
         "form1, form0, message",
@@ -189,16 +207,15 @@ class TestSerialization:
         ],
     )
     def test_inconsistent_forms_rejected(self, form1, form0, message):
-        # The stored profiles are those of exactly these forms.
+        # A valid checksum, so only the consistency checks can refuse it.
         pnf1, pnf0 = parse_word(form1), parse_word(form0)
-        n = len(pnf1)
         data = (
-            b"PNFIX1"
-            + struct.pack("<Q", n)
+            b"PNFIX2"
+            + struct.pack("<Q", len(pnf1))
             + pnf1.packed.to_bytes(1, "little")
             + pnf0.packed.to_bytes(1, "little")
-            + struct.pack(f"<{2 * (n + 1)}I", *pnf1.prefix_counts(1), *pnf0.prefix_counts(1))
         )
+        data += struct.pack("<I", crc32(data))
         with pytest.raises(IndexFormatError, match=message):
             load_index(io.BytesIO(data))
 
