@@ -7,6 +7,8 @@ packed representation never leaks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import partial
 from itertools import accumulate
 from operator import index
 from typing import Iterator
@@ -126,15 +128,8 @@ class BinaryWord:
         total = self.count(x)
         if not 1 <= i <= total:
             raise ValueError(f"word has only {total} occurrence(s) of {x}, cannot select #{i}")
-        # rank(x, .) is non-decreasing; binary search the first prefix reaching i.
-        lo, hi = 1, self._n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.rank(x, mid) >= i:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        # rank(x, .) is non-decreasing: bisect for the first prefix reaching i.
+        return bisect_left(range(1, self._n + 1), i, key=partial(self.rank, x)) + 1
 
     def complement(self) -> "BinaryWord":
         mask = (1 << self._n) - 1

@@ -43,7 +43,8 @@ def _read_word(args: argparse.Namespace) -> BinaryWord:
 
 
 def _read_word_file(path: str) -> BinaryWord:
-    with open(path, "r", encoding="ascii") as fp:
+    # A non-ASCII byte decodes to one surrogate, which parse_word rejects.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fp:
         return parse_word(fp.read().rstrip("\n"))
 
 
@@ -170,7 +171,8 @@ def _cmd_index(args) -> int:
     # query-batch: one "ones,zeros" pair per row, optional header. Every
     # row is answered before any is written, so a bad row leaves stdout empty.
     rows = []
-    with open(args.csvfile, "r", encoding="ascii") as fp:
+    # Not UTF-8, under which int() would take digits such as '３'.
+    with open(args.csvfile, "r", encoding="ascii", errors="surrogateescape") as fp:
         for lineno, line in enumerate(fp, start=1):
             line = line.strip()
             if not line or (lineno == 1 and line.lower().replace(" ", "") == "ones,zeros"):
@@ -292,28 +294,18 @@ def _cmd_prenecklaces(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Accepted before the subcommand and after its arguments (the later wins):
+    # SUPPRESS keeps an absent flag from clobbering one; main fills defaults.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["text", "csv", "json"], default=argparse.SUPPRESS, help="output format")
+    common.add_argument(
+        "--unsafe-large", action="store_true", default=argparse.SUPPRESS,
+        help="override the desk-scale guards (quadratic/exhaustive work ahead)",
+    )
     parser = argparse.ArgumentParser(
         prog="pnfkit",
         description="Prefix normal forms, jumbled-pattern-matching index, and enumeration lab",
-    )
-    parser.add_argument(
-        "--format", choices=["text", "csv", "json"], default="text", help="output format"
-    )
-    parser.add_argument(
-        "--unsafe-large",
-        action="store_true",
-        default=False,
-        help="override the desk-scale guards (quadratic/exhaustive work ahead)",
-    )
-    # The same flags are accepted after the subcommand; SUPPRESS keeps a
-    # value parsed at the top level from being clobbered by a default.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["text", "csv", "json"], default=argparse.SUPPRESS, help="output format"
-    )
-    common.add_argument(
-        "--unsafe-large", action="store_true", default=argparse.SUPPRESS,
-        help="override the desk-scale guards",
+        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -395,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.format = getattr(args, "format", "text")
+    args.unsafe_large = getattr(args, "unsafe_large", False)
     try:
         return args.fn(args)
     except (PnfkitError, ValueError, OSError) as exc:

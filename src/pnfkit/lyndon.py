@@ -6,7 +6,7 @@ operations here provide the lexicographic side of that comparison.
 
 from __future__ import annotations
 
-from .bitword import BinaryWord, parse_word
+from .bitword import BinaryWord
 from .errors import ContractError, check_scale
 from .normality import is_prefix_normal
 
@@ -17,33 +17,34 @@ from .normality import is_prefix_normal
 PRENECKLACE_COUNT_GUARD = 10_000
 
 
-def is_lyndon(w: BinaryWord) -> bool:
-    """True iff w is strictly smaller than each of its proper non-empty
-    suffixes. The empty word is not a Lyndon word."""
-    n = len(w)
-    if n == 0:
-        return False
-    s = w.to01()
-    return all(s < s[i:] for i in range(1, n))
+def _lyndon_prefix(w: BinaryWord) -> int:
+    """Length p of the longest Lyndon prefix of a non-empty pre-necklace w,
+    0 when w is not a pre-necklace, 1 for the empty word.
 
-
-def is_prenecklace(w: BinaryWord) -> bool:
-    """True iff w is a prefix of a power of some Lyndon word.
-
-    Incremental scan: maintain the length p of the current Lyndon
-    prefix-period; a symbol below its p-shifted counterpart disproves
-    membership, a symbol above restarts the period at the full prefix.
-    The empty word is a pre-necklace.
+    Linear scan (Cattell et al., J. Algorithms 2000): p is the period of
+    the prefix read so far; a symbol below its p-shifted counterpart
+    disproves membership, one above restarts the period at the full prefix.
     """
     p = 1
     bits = list(w)
     for i in range(1, len(bits)):
         prev = bits[i - p]
         if bits[i] < prev:
-            return False
+            return 0
         if bits[i] > prev:
             p = i + 1
-    return True
+    return p
+
+
+def is_lyndon(w: BinaryWord) -> bool:
+    """True iff w is non-empty and strictly smaller than each of its proper
+    suffixes, that is, w is its own longest Lyndon prefix."""
+    return len(w) > 0 and _lyndon_prefix(w) == len(w)
+
+
+def is_prenecklace(w: BinaryWord) -> bool:
+    """True iff w is a prefix of a power of some Lyndon word (or empty)."""
+    return _lyndon_prefix(w) > 0
 
 
 def is_prenecklace_bruteforce(w: BinaryWord) -> bool:
@@ -54,7 +55,7 @@ def is_prenecklace_bruteforce(w: BinaryWord) -> bool:
     s = w.to01()
     for p in range(1, n + 1):
         root = s[:p]
-        if s == (root * n)[:n] and is_lyndon(parse_word(root)):
+        if s == (root * n)[:n] and all(root < root[i:] for i in range(1, p)):
             return True
     return False
 

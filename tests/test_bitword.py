@@ -82,6 +82,14 @@ class TestRankSelect:
         with pytest.raises(ValueError):
             w.select(1, 5)
 
+    def test_select_matches_linear_scan(self):
+        for w in words_up_to(12):
+            for x in (0, 1):
+                positions = [p for p in range(1, len(w) + 1) if w.bit(p) == x]
+                assert [w.select(x, i) for i in range(1, len(positions) + 1)] == positions, w
+                with pytest.raises(ValueError):
+                    w.select(x, len(positions) + 1)
+
     def test_select_inverts_rank(self, rng):
         for _ in range(50):
             w = random_word(rng, rng.randrange(1, 40))
@@ -213,6 +221,14 @@ class TestWordOps:
         assert parse_word("0101") == parse_word("0101")
         assert parse_word("01") != parse_word("010")
         assert len({parse_word("01"), parse_word("01"), parse_word("10")}) == 2
+
+    @pytest.mark.parametrize(
+        "bits, length, message",
+        [(0, -1, "length must be non-negative"), (-1, 3, "does not fit"), (8, 3, "does not fit")],
+    )
+    def test_constructor_rejects_bad_fields(self, bits, length, message):
+        with pytest.raises(ValueError, match=message):
+            BinaryWord(bits, length)
 
     def test_words_up_to_cover_all(self):
         seen = {w.to01() for w in words_up_to(3)}

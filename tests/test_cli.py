@@ -28,6 +28,9 @@ class TestPnf:
         assert code == 0
         assert out == "PNF1=1101001\nPNF0=0011011\n"
 
+    def test_bit_zero(self, capsys):
+        assert run(capsys, "pnf", "1001101", "--bit", "0") == (0, "PNF0=0011011\n", "")
+
     def test_default_bit_is_one(self, capsys):
         code, out, _ = run(capsys, "pnf", "0000")
         assert code == 0
@@ -49,6 +52,13 @@ class TestPnf:
         code, out, _ = run(capsys, "pnf", "--file", str(path))
         assert code == 0
         assert out == "PNF1=1101001\n"
+
+    def test_non_ascii_byte_in_file_names_position(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_bytes("10\u00e91\n".encode("utf-8"))
+        code, out, err = run(capsys, "pnf", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: invalid character '\\udcc3' at position 3 (expected '0' or '1')\n"
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "pnf", "--file", str(tmp_path / "absent.txt"))
@@ -225,6 +235,25 @@ class TestIndex:
         assert err == "error: invalid character 'x' at position 3 (expected '0' or '1')\n"
         assert not (tmp_path / "w.pnfix").exists()
 
+    def test_build_non_ascii_byte_names_position(self, capsys, tmp_path):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_bytes("10\u00e91\n".encode("utf-8"))
+        code, out, err = run(capsys, "index", "build", str(wordfile), "-o", str(tmp_path / "w.pnfix"))
+        assert code == 2 and out == ""
+        assert err == "error: invalid character '\\udcc3' at position 3 (expected '0' or '1')\n"
+        assert not (tmp_path / "w.pnfix").exists()
+
+    def test_query_batch_non_ascii_byte_names_row(self, capsys, tmp_path):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        queries = tmp_path / "queries.csv"
+        queries.write_bytes("ones,zeros\n3,2\n1,\u00e9\n".encode("utf-8"))
+        code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {queries}:3: expected 'ones,zeros'") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["build", "query", "query-batch"])
     def test_format_after_index_arguments(self, capsys, tmp_path, command):
         wordfile = tmp_path / "word.txt"
@@ -343,6 +372,11 @@ class TestEnum:
         lines = out.splitlines()
         assert lines[0] == "n,growth_ratio,ecrit_ratio,ecrit_ratio_scaled"
         assert lines[1].startswith("1,2.0,0.5,")
+
+    def test_needs_length(self, capsys):
+        code, out, err = run(capsys, "enum")
+        assert code == 2 and out == ""
+        assert err == "error: enum needs a length N (or --ratios N)\n"
 
     def test_ratios_rejects_n(self, capsys):
         code, _, err = run(capsys, "enum", "4", "--ratios", "3")
@@ -548,6 +582,23 @@ def json_from_csv(text):
 
 
 class TestRecordOutput:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("parikh", "011"), "0  0\n0  1\n0  2\n1  0\n1  1\n1  2\n"),
+            (("gf", "2", "4"), "0  0\n1  0\n2  1\n3  2\n4  3\n"),
+            (
+                ("enum", "--ratios", "3"),
+                "1  2.0  0.5  nan\n"
+                "2  1.5  0.3333333333333333  0.9617966939259756\n"
+                "3  1.6666666666666667  0.4  1.0922870719522049\n",
+            ),
+        ],
+    )
+    def test_text_rows_pinned(self, capsys, argv, text):
+        # Records without their own text rendering: cells joined by two spaces.
+        assert run(capsys, *argv) == (0, text, "")
+
     @pytest.mark.parametrize(
         "argv, csv", [(("enum", "--ratios", "6"), RATIOS_6_CSV), (("bounds", "8"), BOUNDS_8_CSV)]
     )

@@ -361,6 +361,8 @@ class TestExtensions:
             ext_count(parse_word("1"), 30)
         with pytest.raises(ValueError):
             ext_count(parse_word("1"), -1)
+        with pytest.raises(ValueError):
+            ext_count(parse_word("1"), 3, -1)
 
     def test_bijection_examples(self):
         assert ext_bijection_check(6, 3)

@@ -219,6 +219,16 @@ class TestSerialization:
         with pytest.raises(IndexFormatError, match=message):
             load_index(io.BytesIO(data))
 
+    def test_padding_bit_rejected(self):
+        # The forms of 1001101 with bit 7 of the PNF1 byte set, past n = 7,
+        # under a valid checksum: only the padding check can refuse it.
+        ix = build_index(parse_word("1001101"))
+        pnf1, pnf0 = ix.pnf_pair
+        data = b"PNFIX2" + struct.pack("<Q", 7) + bytes([pnf1.packed | 0x80, pnf0.packed])
+        data += struct.pack("<I", crc32(data))
+        with pytest.raises(IndexFormatError, match="padding"):
+            load_index(io.BytesIO(data))
+
     @pytest.mark.parametrize("text", ["", "1001101", "1101100101110001"])
     def test_every_truncation_and_byte_flip_rejected(self, text):
         data = self.roundtrip(parse_word(text))

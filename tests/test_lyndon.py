@@ -12,7 +12,7 @@ from pnfkit import (
     parse_word,
 )
 from pnfkit.lyndon import is_prenecklace_bruteforce
-from conftest import all_words
+from conftest import all_words, words_up_to
 
 KNOWN_PNW = [2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697, 1273, 2279, 4185, 7568]
 KNOWN_PL = [2, 3, 5, 8, 14, 23, 41, 71, 127, 226, 412, 747, 1377, 2538, 4720, 8800]
@@ -30,6 +30,12 @@ class TestLyndon:
         assert is_lyndon(parse_word("1"))
         assert not is_lyndon(parse_word("10"))
         assert not is_lyndon(parse_word("11"))
+
+    def test_matches_definition(self):
+        # Non-empty and strictly smaller than each proper suffix.
+        for w in words_up_to(14):
+            s = w.to01()
+            assert is_lyndon(w) == (len(s) > 0 and all(s < s[i:] for i in range(1, len(s)))), s
 
     def test_lyndon_words_are_primitive(self):
         for n in range(1, 11):
@@ -53,9 +59,8 @@ class TestPrenecklace:
         assert is_prenecklace_bruteforce(parse_word(""))
 
     def test_incremental_matches_bruteforce(self):
-        for n in range(13):
-            for w in all_words(n):
-                assert is_prenecklace(w) == is_prenecklace_bruteforce(w), w
+        for w in words_up_to(14):
+            assert is_prenecklace(w) == is_prenecklace_bruteforce(w), w
 
     def test_normal_words_are_prenecklaces(self):
         for n in range(1, 13):
