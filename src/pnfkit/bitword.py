@@ -263,11 +263,15 @@ def _pnf1_bits(bits: int, n: int) -> int:
     return (1 << n) - 1 - (skipped >> 1)
 
 
+def _pnf1_checked(w: BinaryWord, *, unsafe_large: bool = False) -> int:
+    # The profile guard's one home: every profile and every PNF1 test reads this.
+    check_scale("profile length", len(w), PROFILE_LENGTH_GUARD, unsafe_large)
+    return _pnf1_bits(w.packed, len(w))
+
+
 def max_ones_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:
     """f[k], k = 0..n: the largest ones-count over all length-k factors of w."""
-    n = len(w)
-    check_scale("profile length", n, PROFILE_LENGTH_GUARD, unsafe_large)
-    return tuple(BinaryWord(_pnf1_bits(w.packed, n), n).prefix_counts(1))
+    return tuple(BinaryWord(_pnf1_checked(w, unsafe_large=unsafe_large), len(w)).prefix_counts(1))
 
 
 def max_zeros_profile(w: BinaryWord, *, unsafe_large: bool = False) -> tuple[int, ...]:

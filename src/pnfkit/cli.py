@@ -15,7 +15,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from . import combinatorics, jumbled, lyndon, normality, pnf
-from .bitword import BinaryWord, parse_word
+from .bitword import PROFILE_LENGTH_GUARD, BinaryWord, parse_word
 from .errors import PnfkitError, ScaleError, WordParseError, check_scale
 
 WORD_ARG_CAP = 4096
@@ -38,14 +38,39 @@ def _read_word(args: argparse.Namespace) -> BinaryWord:
             )
         return parse_word(args.word)
     if args.file is not None:
-        return _read_word_file(args.file)
-    return parse_word(sys.stdin.read().rstrip("\n"))
+        return _read_word_file(args.file, args.unsafe_large)
+    return _read_word_text(sys.stdin, args.unsafe_large)
 
 
-def _read_word_file(path: str) -> BinaryWord:
+def _read_word_file(path: str, unsafe_large: bool) -> BinaryWord:
     # A non-ASCII byte decodes to one surrogate, which parse_word rejects.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fp:
-        return parse_word(fp.read().rstrip("\n"))
+        return _read_word_text(fp, unsafe_large)
+
+
+# Characters read at a time while counting the rest of an oversized word.
+_COUNT_CHUNK = 1 << 16
+
+
+def _read_word_text(fp, unsafe_large: bool) -> BinaryWord:
+    """The newline-terminated word on fp. No word command takes more than
+    PROFILE_LENGTH_GUARD symbols unless unsafe_large, so without it at most
+    that many characters plus two are held: a longer word is refused by its
+    real length, counted chunk by chunk, before any of it is parsed."""
+    cap = None if unsafe_large else PROFILE_LENGTH_GUARD + 2
+    text = fp.read(cap)
+    word = text.rstrip("\n")
+    n = len(word)
+    if len(text) == cap:
+        trailing = len(text) - n
+        while chunk := fp.read(_COUNT_CHUNK):
+            body = chunk.rstrip("\n")
+            if body:
+                n += trailing + len(body)
+                trailing = 0
+            trailing += len(chunk) - len(body)
+    check_scale("word length", n, PROFILE_LENGTH_GUARD, unsafe_large)
+    return parse_word(word)
 
 
 def _add_word_source(sub: argparse.ArgumentParser) -> None:
@@ -84,12 +109,17 @@ def _blocks(items: Iterable) -> Iterator[list]:
 
 
 def _json_chunks(fields: list[str], rows: Iterable[tuple]) -> Iterator[str]:
-    """json.dumps of the list of row objects, one chunk per block of rows."""
+    """json.dumps of the list of row objects, one chunk per block of rows.
+    JSON has no NaN: a NaN cell, nan in CSV, is written as null."""
     import json  # only JSON output loads it
+    from math import isnan
+
+    def cell(value):
+        return None if isinstance(value, float) and isnan(value) else value
 
     sep = "["
-    for block in _blocks(dict(zip(fields, row)) for row in rows):
-        yield sep + json.dumps(block)[1:-1]
+    for block in _blocks(dict(zip(fields, map(cell, row))) for row in rows):
+        yield sep + json.dumps(block, allow_nan=False)[1:-1]
         sep = ", "
     yield "[]\n" if sep == "[" else "]\n"
 
@@ -153,9 +183,36 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+# A query-batch CSV is read this many characters at a time, and a row that
+# reaches this length is malformed. An error quotes at most the first
+# _ROW_ECHO characters of a bad row.
+_ROW_CAP = 64 * 1024
+_ROW_ECHO = 80
+
+
+def _bad_row(path: str, lineno: int, line: str) -> ValueError:
+    echo = repr(line) if len(line) <= _ROW_ECHO else f"{line[:_ROW_ECHO]!r}..."
+    return ValueError(f"{path}:{lineno}: expected 'ones,zeros' of counts >= 0, got {echo}")
+
+
+def _csv_lines(fp, path: str) -> Iterator[str]:
+    """The lines of fp without their newlines, holding under 2 * _ROW_CAP
+    characters at a time: a line that reaches _ROW_CAP characters is refused
+    before the rest of it is read."""
+    count, rest = 0, ""
+    while chunk := fp.read(_ROW_CAP):
+        *lines, rest = (rest + chunk).split("\n")
+        count += len(lines)
+        yield from lines
+        if len(rest) >= _ROW_CAP:
+            raise _bad_row(path, count + 1, rest)
+    if rest:
+        yield rest
+
+
 def _cmd_index(args) -> int:
     if args.index_cmd == "build":
-        w = _read_word_file(args.wordfile)
+        w = _read_word_file(args.wordfile, args.unsafe_large)
         ix = jumbled.build_index(w, unsafe_large=args.unsafe_large)
         with open(args.output, "wb") as out:
             jumbled.dump_index(ix, out)
@@ -173,7 +230,7 @@ def _cmd_index(args) -> int:
     rows = []
     # Not UTF-8, under which int() would take digits such as '３'.
     with open(args.csvfile, "r", encoding="ascii", errors="surrogateescape") as fp:
-        for lineno, line in enumerate(fp, start=1):
+        for lineno, line in enumerate(_csv_lines(fp, args.csvfile), start=1):
             line = line.strip()
             if not line or (lineno == 1 and line.lower().replace(" ", "") == "ones,zeros"):
                 continue
@@ -182,9 +239,7 @@ def _cmd_index(args) -> int:
                 ones, zeros = int(ones_s), int(zeros_s)
                 answer = ix.query(ones=ones, zeros=zeros)
             except ValueError:
-                raise ValueError(
-                    f"{args.csvfile}:{lineno}: expected 'ones,zeros' of counts >= 0, got {line!r}"
-                ) from None
+                raise _bad_row(args.csvfile, lineno, line) from None
             rows.append((ones, zeros, "yes" if answer else "no"))
     _emit(args, ["ones", "zeros", "answer"], rows, text_lines=(r[2] for r in rows))
     return EXIT_OK

@@ -5,7 +5,7 @@ prefix of the same length (0-prefix-normal: swap the roles of 1 and 0).
 Five independent routes decide the property, registered in DECIDERS
 under these keys; they must always agree:
 
-  * def:      prefix counts equal the max profile at every length
+  * def:      w equals its PNF1
   * subadd:   P(j) - P(i) <= P(j-i) for all 0 <= i <= j <= n
   * pos:      every factor with i ones has length >= pos(i)
   * possuper: pos(i) + pos(j) - 1 <= pos(i+j-1)
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitword import BinaryWord, _check_symbol, max_ones_profile
+from .bitword import BinaryWord, _check_symbol, _pnf1_checked
 from .errors import ContractError
 
 # `pnfkit check` runs the four characterisations, O(n^2) Python loops,
@@ -33,7 +33,7 @@ def is_prefix_normal(w: BinaryWord, x: int = 1, *, unsafe_large: bool = False) -
     _check_symbol(x)
     if x == 0:
         w = w.complement()
-    return tuple(w.prefix_counts(1)) == max_ones_profile(w, unsafe_large=unsafe_large)
+    return _pnf1_checked(w, unsafe_large=unsafe_large) == w.packed
 
 
 def check_subadditive_char(w: BinaryWord) -> bool:

@@ -14,6 +14,7 @@ from typing import NamedTuple
 from .bitword import (
     BinaryWord,
     _check_symbol,
+    _pnf1_checked,
     max_ones_profile,
     max_zeros_profile,
     min_ones_profile,
@@ -75,8 +76,9 @@ def prefix_equivalent(v: BinaryWord, w: BinaryWord, x: int = 1) -> bool:
     _check_symbol(x)
     if len(v) != len(w):
         return False
-    profile = max_ones_profile if x == 1 else max_zeros_profile
-    return profile(v) == profile(w)
+    if x == 0:
+        v, w = v.complement(), w.complement()
+    return _pnf1_checked(v) == _pnf1_checked(w)
 
 
 def parikh_set(w: BinaryWord, *, unsafe_large: bool = False) -> frozenset[ParikhVector]:
@@ -116,6 +118,4 @@ def parikh_set_equal(v: BinaryWord, w: BinaryWord) -> bool:
     when both normal forms coincide. Works at any length the profile
     guard admits, unlike materializing the sets.
     """
-    if len(v) != len(w):
-        return False
-    return pnf1(v) == pnf1(w) and pnf0(v) == pnf0(w)
+    return prefix_equivalent(v, w, 1) and prefix_equivalent(v, w, 0)

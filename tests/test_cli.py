@@ -13,6 +13,7 @@ import pytest
 
 import pnfkit
 from pnfkit import build_index, parse_word
+from pnfkit.bitword import PROFILE_LENGTH_GUARD
 from pnfkit.cli import _BLOCK_LINES, main
 
 
@@ -84,6 +85,51 @@ class TestPnf:
         monkeypatch.setattr("sys.stdin", io.StringIO("1001101\n"))
         code, out, _ = run(capsys, "pnf", "--stdin")
         assert code == 0 and out == "PNF1=1101001\n"
+
+    def test_oversized_stdin_read_in_bounded_pieces(self, capsys, monkeypatch):
+        sizes = []
+
+        class Stdin(io.StringIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr("sys.stdin", Stdin("1" * 300_000 + "\n"))
+        code, out, err = run(capsys, "pnf", "--stdin")
+        assert (code, out) == (3, "")
+        assert err == "error: word length 300000 refused: the limit is 100000\n"
+        assert all(size is not None and 0 <= size <= PROFILE_LENGTH_GUARD + 2 for size in sizes)
+
+    @pytest.mark.parametrize("command", ["pnf", "index"])
+    @pytest.mark.parametrize(
+        "text, length",
+        [
+            ("1" * 150_000, 150_000),
+            ("1" * 150_000 + "\n\n", 150_000),
+            ("1" * 150_000 + "x\n", 150_001),
+            ("1" * 100_000 + "\n\n1", 100_003),
+            ("1" * 150_000 + ("\n" * 70_000 + "1") * 2 + "\n", 290_002),
+        ],
+        ids=["bare", "newlines", "bad-character", "newlines-past-the-guard", "newlines-across-chunks"],
+    )
+    def test_oversized_file_refused_by_its_length(self, capsys, tmp_path, command, text, length):
+        # The size refusal comes before parsing: a bad character in an
+        # oversized word is not reported. Newlines count once a symbol
+        # follows them.
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        argv = {
+            "pnf": ["pnf", "--file", str(path)],
+            "index": ["index", "build", str(path), "-o", str(tmp_path / "w.pnfix")],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: word length {length} refused: the limit is 100000\n"
+
+    def test_word_at_the_guard_with_trailing_newlines(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1" * PROFILE_LENGTH_GUARD + "\n" * 5)
+        assert run(capsys, "check", "--file", str(path)) == (0, "normal\n", "")
 
 
 class TestCheck:
@@ -172,6 +218,24 @@ class TestIndex:
         )
         assert out.splitlines() == ["ones,zeros,answer", "3,2,yes", "0,3,no", "4,0,no"]
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_query_batch_rows_across_read_chunks(self, capsys, tmp_path, newline):
+        # About 7 chunks of 64 KiB, with blank rows, padding and no final
+        # newline: every row is answered, in order, wherever a chunk ends.
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        ix = build_index(parse_word("1001101"))
+        rng = random.Random(7)
+        pairs = [(rng.randrange(9), rng.randrange(9)) for _ in range(40_000)]
+        lines = [" ones , zeros"] + [f"{o},{z}" + " " * (i % 3) for i, (o, z) in enumerate(pairs)]
+        queries = tmp_path / "queries.csv"
+        queries.write_bytes((newline * 2).join(lines).encode("ascii"))
+        code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["yes" if ix.query(ones=o, zeros=z) else "no" for o, z in pairs]
+
     def test_build_honours_format(self, capsys, tmp_path):
         wordfile = tmp_path / "word.txt"
         wordfile.write_text("1001101\n")
@@ -191,7 +255,29 @@ class TestIndex:
         queries.write_text(f"3,2\n{row}\n")
         code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {queries}:2: ") and err.count("\n") == 1
+        assert err == f"error: {queries}:2: expected 'ones,zeros' of counts >= 0, got {row!r}\n"
+
+    @pytest.mark.parametrize("lineno", [1, 2])
+    @pytest.mark.parametrize(
+        "row",
+        ["9" * 1_000_000, "3,2" + " " * 1_000_000, "1," + "x" * 1_000],
+        ids=["past-cap", "padded", "under-cap"],
+    )
+    def test_query_batch_long_row_quoted_by_a_prefix(self, capsys, tmp_path, lineno, row):
+        # The 1 MB rows reach the row cap, so they are malformed even when
+        # they would parse; the other is read whole. Each is quoted by its
+        # first 80 characters.
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        queries = tmp_path / "queries.csv"
+        queries.write_text("3,2\n" * (lineno - 1) + row + "\n3,2\n")
+        code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
+        assert code == 2 and out == ""
+        expected = f"error: {queries}:{lineno}: expected 'ones,zeros' of counts >= 0, got {row[:80]!r}...\n"
+        assert err == expected
+        assert len(err.encode()) < 1024
 
     def test_corrupt_index_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.pnfix"
@@ -574,7 +660,9 @@ def json_from_csv(text):
     def value(cell):
         if cell in ("true", "false"):
             return cell == "true"
-        return float(cell) if "." in cell or cell == "nan" else int(cell)
+        if cell == "nan":
+            return None
+        return float(cell) if "." in cell else int(cell)
 
     header, *lines = text.splitlines()
     fields = header.split(",")
@@ -605,6 +693,15 @@ class TestRecordOutput:
     def test_csv_and_json_pinned(self, capsys, argv, csv):
         assert run(capsys, "--format", "csv", *argv) == (0, csv, "")
         assert run(capsys, "--format", "json", *argv) == (0, json_from_csv(csv), "")
+
+    def test_json_has_no_nan(self, capsys):
+        # NaN, Infinity and -Infinity are not JSON; strict parsers refuse them.
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        code, out, err = run(capsys, "--format", "json", "enum", "--ratios", "2")
+        assert code == 0 and err == ""
+        assert json.loads(out, parse_constant=refuse)[0]["ecrit_ratio_scaled"] is None
 
 
 class TestStartup:

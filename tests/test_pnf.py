@@ -204,6 +204,17 @@ class TestPrefixEquivalence:
     def test_different_lengths_never_equivalent(self):
         assert not prefix_equivalent(parse_word("1"), parse_word("10"), 1)
 
+    def test_matches_profiles_exhaustive(self):
+        # The packed PNF1 comparison against the definition: equal
+        # maximum-x profiles, for every pair of words of each length.
+        for n in range(8):
+            words = list(all_words(n))
+            profiles = {1: list(map(max_ones_profile, words)), 0: list(map(max_zeros_profile, words))}
+            for x, fs in profiles.items():
+                for v, fv in zip(words, fs):
+                    for w, fw in zip(words, fs):
+                        assert prefix_equivalent(v, w, x) == (fv == fw)
+
 
 class TestParikhSets:
     def test_worked_example(self):
@@ -271,6 +282,14 @@ class TestParikhSetEquality:
             assert set(map(frozenset, by_forms.values())) == set(
                 map(frozenset, by_sets.values())
             )
+
+    def test_matches_bruteforce_sets_exhaustive(self):
+        for n in range(8):
+            words = list(all_words(n))
+            sets = list(map(parikh_set_bruteforce, words))
+            for v, sv in zip(words, sets):
+                for w, sw in zip(words, sets):
+                    assert parikh_set_equal(v, w) == (sv == sw)
 
     def test_cross_length_pairs_disagree_nowhere(self):
         assert not parikh_set_equal(parse_word("01"), parse_word("011"))

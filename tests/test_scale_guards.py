@@ -16,11 +16,14 @@ from pnfkit import (
     expand_gf,
     ext_bijection_check,
     ext_count,
+    is_prefix_normal,
     max_ones_profile,
     max_zeros_profile,
     min_ones_profile,
     parikh_set,
+    parikh_set_equal,
     pnf_pair,
+    prefix_equivalent,
     ratio_series,
 )
 from pnfkit.cli import main
@@ -36,13 +39,16 @@ def ones(n):
 
 
 # name: (call at size s with keyword arguments, its limit, whether the
-# lifted call is cheap enough to run). Profiles of 0^n and 1^n, and walks
-# whose density window admits only 1^n, cost O(n).
+# lifted call is run: it takes unsafe_large and is cheap enough). Profiles
+# of 0^n and 1^n, and walks whose density window admits only 1^n, cost O(n).
 GUARDS = {
     "max_ones_profile": (lambda s, **kw: max_ones_profile(BinaryWord(0, s), **kw), PROFILE_LENGTH_GUARD, True),
     "max_zeros_profile": (lambda s, **kw: max_zeros_profile(BinaryWord(0, s), **kw), PROFILE_LENGTH_GUARD, True),
     "min_ones_profile": (lambda s, **kw: min_ones_profile(BinaryWord(0, s), **kw), PROFILE_LENGTH_GUARD, True),
     "pnf_pair": (lambda s, **kw: pnf_pair(ones(s), **kw), PROFILE_LENGTH_GUARD, True),
+    "is_prefix_normal": (lambda s, **kw: is_prefix_normal(ones(s), **kw), PROFILE_LENGTH_GUARD, True),
+    "prefix_equivalent": (lambda s: prefix_equivalent(ones(s), ones(s)), PROFILE_LENGTH_GUARD, False),
+    "parikh_set_equal": (lambda s: parikh_set_equal(ones(s), ones(s)), PROFILE_LENGTH_GUARD, False),
     "census": (census, ENUM_LENGTH_GUARD, False),
     "enumerate_pn": (lambda s, **kw: next(enumerate_pn(s, **kw)), ENUM_LENGTH_GUARD, True),
     "count_pnw_density": (lambda s, **kw: count_pnw_density(s, s, **kw), ENUM_LENGTH_GUARD, True),
