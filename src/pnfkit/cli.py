@@ -18,63 +18,64 @@ from . import combinatorics, jumbled, lyndon, normality, pnf
 from .bitword import PROFILE_LENGTH_GUARD, BinaryWord, parse_word
 from .errors import PnfkitError, ScaleError, WordParseError, check_scale
 
-WORD_ARG_CAP = 4096
-
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 
-def _read_word(args: argparse.Namespace) -> BinaryWord:
-    """Resolve the word from exactly one input source."""
+def _read_word(args: argparse.Namespace, what="word length", limit=PROFILE_LENGTH_GUARD) -> BinaryWord:
+    """Resolve the word from exactly one input source. From every source, a
+    word longer than limit (the guard of the command's own work) is refused as
+    what before it is parsed, unless unsafe_large."""
     given = sum((args.word is not None, args.file is not None, bool(args.stdin)))
     if given != 1:
         raise ValueError("provide exactly one word source: WORD, --file or --stdin")
     if args.word is not None:
-        if len(args.word) > WORD_ARG_CAP:
-            raise ValueError(
-                f"word argument longer than {WORD_ARG_CAP} symbols; use --file or --stdin"
-            )
+        check_scale(what, len(args.word), limit, args.unsafe_large)
         return parse_word(args.word)
     if args.file is not None:
-        return _read_word_file(args.file, args.unsafe_large)
-    return _read_word_text(sys.stdin, args.unsafe_large)
+        return _read_word_file(args.file, args.unsafe_large, what, limit)
+    return _read_word_text(sys.stdin, args.unsafe_large, what, limit)
 
 
-def _read_word_file(path: str, unsafe_large: bool) -> BinaryWord:
+def _read_word_file(path: str, unsafe_large: bool, what="word length", limit=PROFILE_LENGTH_GUARD) -> BinaryWord:
     # A non-ASCII byte decodes to one surrogate, which parse_word rejects.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fp:
-        return _read_word_text(fp, unsafe_large)
+        return _read_word_text(fp, unsafe_large, what, limit)
 
 
 # Characters read at a time while counting the rest of an oversized word.
 _COUNT_CHUNK = 1 << 16
 
 
-def _read_word_text(fp, unsafe_large: bool) -> BinaryWord:
-    """The newline-terminated word on fp. No word command takes more than
-    PROFILE_LENGTH_GUARD symbols unless unsafe_large, so without it at most
-    that many characters plus two are held: a longer word is refused by its
-    real length, counted chunk by chunk, before any of it is parsed."""
-    cap = None if unsafe_large else PROFILE_LENGTH_GUARD + 2
+def _read_word_text(fp, unsafe_large: bool, what="word length", limit=PROFILE_LENGTH_GUARD) -> BinaryWord:
+    """The newline-terminated word on fp. Without unsafe_large at most limit
+    plus two characters are held: a longer word is refused by its real length,
+    counted chunk by chunk, before any of it is parsed. The count stops at, and
+    includes, the first character other than 0, 1 or a newline, so endless
+    input that is not a word is refused too."""
+    cap = None if unsafe_large else limit + 2
     text = fp.read(cap)
     word = text.rstrip("\n")
     n = len(word)
     if len(text) == cap:
         trailing = len(text) - n
         while chunk := fp.read(_COUNT_CHUNK):
+            if stray := chunk.lstrip("01\n"):
+                n += trailing + len(chunk) - len(stray) + 1
+                break
             body = chunk.rstrip("\n")
             if body:
                 n += trailing + len(body)
                 trailing = 0
             trailing += len(chunk) - len(body)
-    check_scale("word length", n, PROFILE_LENGTH_GUARD, unsafe_large)
+    check_scale(what, n, limit, unsafe_large)
     return parse_word(word)
 
 
 def _add_word_source(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("word", nargs="?", default=None, help="the word itself (up to 4096 symbols)")
+    sub.add_argument("word", nargs="?", default=None, help="the word itself")
     sub.add_argument("--file", help="read the word from a file (newline-terminated)")
     sub.add_argument("--stdin", action="store_true", help="read the word from standard input")
 
@@ -156,10 +157,9 @@ def _cmd_pnf(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    w = _read_word(args)
+    guard = () if args.method == "def" else ("characterisation length", normality.CHARACTERISATION_GUARD)
+    w = _read_word(args, *guard)
     unsafe = args.unsafe_large
-    if args.method != "def":
-        check_scale("characterisation length", len(w), normality.CHARACTERISATION_GUARD, unsafe)
     deciders = {**normality.DECIDERS, "def": partial(normality.is_prefix_normal, unsafe_large=unsafe)}
     # The characterizations decide 1-normality; for bit 0 run them on
     # the complement.
@@ -292,7 +292,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_parikh(args) -> int:
-    w = _read_word(args)
+    w = _read_word(args, "Parikh set length", pnf.PARIKH_SET_LENGTH_GUARD)
     vectors = sorted(pnf.parikh_set(w, unsafe_large=args.unsafe_large))
     _emit(args, ["zeros", "ones"], vectors)
     return EXIT_OK
@@ -300,8 +300,8 @@ def _cmd_parikh(args) -> int:
 
 def _cmd_region(args) -> int:
     w = _read_word(args)
-    pair = pnf.pnf_pair(w, unsafe_large=args.unsafe_large)
-    paths = [w.prefix_counts(1), pair.pnf1.prefix_counts(1), pair.pnf0.prefix_counts(1)]
+    ix = jumbled.build_index(w, unsafe_large=args.unsafe_large)
+    paths = [w.prefix_counts(1), ix.fmax, ix.fmin]
     rows = []
     for k in range(len(w) + 1):
         heights = [2 * p[k] - k for p in paths]

@@ -24,7 +24,7 @@ from .bitword import BinaryWord, _check_symbol, _pnf1_checked
 from .errors import ContractError
 
 # `pnfkit check` runs the four characterisations, O(n^2) Python loops,
-# on at most this many symbols (the CLI's word-argument cap).
+# on at most this many symbols.
 CHARACTERISATION_GUARD = 4096
 
 

@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import pnfkit
-from pnfkit import build_index, parse_word
+from pnfkit import build_index, cli, parse_word
 from pnfkit.bitword import PROFILE_LENGTH_GUARD
 from pnfkit.cli import _BLOCK_LINES, main
+from pnfkit.normality import CHARACTERISATION_GUARD
+from pnfkit.pnf import PARIKH_SET_LENGTH_GUARD
 
 
 def run(capsys, *argv):
@@ -74,11 +76,6 @@ class TestPnf:
         assert code == 2
         assert "exactly one" in err
 
-    def test_long_argument_capped(self, capsys):
-        code, _, err = run(capsys, "pnf", "1" * 4097)
-        assert code == 2
-        assert "4096" in err
-
     def test_word_from_stdin(self, capsys, monkeypatch):
         import io
 
@@ -109,13 +106,17 @@ class TestPnf:
             ("1" * 150_000 + "x\n", 150_001),
             ("1" * 100_000 + "\n\n1", 100_003),
             ("1" * 150_000 + ("\n" * 70_000 + "1") * 2 + "\n", 290_002),
+            ("1" * 150_000 + "x" + "1" * 50_000 + "\n", 150_001),
         ],
-        ids=["bare", "newlines", "bad-character", "newlines-past-the-guard", "newlines-across-chunks"],
+        ids=[
+            "bare", "newlines", "bad-character", "newlines-past-the-guard", "newlines-across-chunks",
+            "bad-character-ends-the-count",
+        ],
     )
     def test_oversized_file_refused_by_its_length(self, capsys, tmp_path, command, text, length):
         # The size refusal comes before parsing: a bad character in an
-        # oversized word is not reported. Newlines count once a symbol
-        # follows them.
+        # oversized word is not reported, and the count stops there.
+        # Newlines count once a symbol follows them.
         path = tmp_path / "w.txt"
         path.write_text(text)
         argv = {
@@ -130,6 +131,119 @@ class TestPnf:
         path = tmp_path / "w.txt"
         path.write_text("1" * PROFILE_LENGTH_GUARD + "\n" * 5)
         assert run(capsys, "check", "--file", str(path)) == (0, "normal\n", "")
+
+    def test_endless_input_that_is_not_a_word_is_refused(self, capsys, monkeypatch):
+        # Like /dev/zero on stdin: the count stops at the first NUL past
+        # the held characters.
+        sizes = []
+
+        class Zeros:
+            def read(self, size=-1):
+                assert size is not None and size >= 0 and len(sizes) < 10
+                sizes.append(size)
+                return "\0" * size
+
+        monkeypatch.setattr("sys.stdin", Zeros())
+        code, out, err = run(capsys, "pnf", "--stdin")
+        assert (code, out) == (3, "")
+        assert err == "error: word length 100003 refused: the limit is 100000\n"
+        assert len(sizes) == 2
+
+
+class ReadLog:
+    """A text stream that records the size of every read."""
+
+    def __init__(self, fp):
+        self.fp, self.sizes = fp, []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return self.fp.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self.fp, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fp.close()
+
+
+# Each word command: (argv before the word source, argv after it, the guard
+# that refuses a long word, its limit).
+WORD_GUARDS = {
+    "pnf": (["pnf"], [], "word length", PROFILE_LENGTH_GUARD),
+    "pnf-both": (["pnf"], ["--bit", "both"], "word length", PROFILE_LENGTH_GUARD),
+    "check-def": (["check"], [], "word length", PROFILE_LENGTH_GUARD),
+    **{
+        f"check-{method}": (["check"], ["--method", method], "characterisation length", CHARACTERISATION_GUARD)
+        for method in ["subadd", "pos", "possuper", "gaps", "all"]
+    },
+    "parikh": (["parikh"], [], "Parikh set length", PARIKH_SET_LENGTH_GUARD),
+    "region": (["region"], [], "word length", PROFILE_LENGTH_GUARD),
+    "ext": (["ext"], ["1"], "word length", PROFILE_LENGTH_GUARD),
+}
+
+
+class TestWordGuard:
+    """One rule for every word command and source: a word over the guard of
+    the command's own work is refused by its length before it is parsed."""
+
+    @pytest.mark.parametrize(
+        "command, source",
+        [*((command, source) for command in WORD_GUARDS for source in ["arg", "file", "stdin"]), ("index", "file")],
+        ids=str,
+    )
+    def test_word_over_its_guard(self, capsys, monkeypatch, tmp_path, command, source):
+        if command == "index":
+            head, tail = ["index", "build"], ["-o", str(tmp_path / "w.pnfix")]
+            what, limit = "word length", PROFILE_LENGTH_GUARD
+        else:
+            head, tail, what, limit = WORD_GUARDS[command]
+        # 01^limit keeps the lifted run cheap: it is not normal, and its
+        # profiles cost O(n).
+        word = "0" + "1" * limit
+        path = tmp_path / "w.txt"
+        path.write_text(word + "\n")
+        sources = {"arg": [word], "file": [str(path)], "stdin": ["--stdin"]}
+        if command != "index":
+            sources["file"].insert(0, "--file")
+        parsed, streams = [], []
+
+        def parse_word(text):
+            parsed.append(len(text))
+            return pnfkit.parse_word(text)
+
+        def logged(fp):
+            streams.append(ReadLog(fp))
+            return streams[-1]
+
+        monkeypatch.setattr(cli, "parse_word", parse_word)
+        monkeypatch.setattr(cli, "open", lambda *a, **k: logged(open(*a, **k)), raising=False)
+        refusal = f"error: {what} {limit + 1} refused: the limit is {limit}\n"
+        for unsafe in [[], ["--unsafe-large"]]:
+            parsed.clear()
+            streams.clear()
+            monkeypatch.setattr("sys.stdin", logged(io.StringIO(word + "\n")))
+            code, out, err = run(capsys, *head, *sources[source], *tail, *unsafe)
+            if unsafe:
+                assert parsed == [limit + 1] and err != refusal
+                continue
+            assert (code, out, err, parsed) == (3, "", refusal, [])
+            reads = [stream.sizes for stream in streams if stream.sizes]
+            if source == "arg":
+                assert reads == []
+            else:
+                # The first read is the only one before the counting.
+                ((first, *_),) = reads
+                assert first is not None and 0 <= first <= limit + 2
+
+    def test_check_names_its_own_guard_past_the_profile_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0" + "1" * PROFILE_LENGTH_GUARD + "\n"))
+        code, out, err = run(capsys, "check", "--method", "pos", "--stdin")
+        assert (code, out) == (3, "")
+        assert err == "error: characterisation length 100001 refused: the limit is 4096\n"
 
 
 class TestCheck:
