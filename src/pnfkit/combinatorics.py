@@ -29,8 +29,9 @@ leaves are tested only when ecrit(n) is asked for, and the 0-leaf
 inherits its verdict as above.
 
 Counting walks may be forked at a fixed depth into independent subtree
-tasks, when the density window leaves enough work to repay starting
-the workers; totals are exact integers summed in task order, so
+tasks, when the root lies above it and the density window leaves enough
+work to repay starting the workers; `_fan_out` decides this for every
+count, from any root. Totals are exact integers summed in task order, so
 parallel and sequential runs are bit-identical.
 """
 
@@ -185,29 +186,30 @@ def _walk_counts(root_bits: int, m: int, n: int, lo: int, hi: int, leaf_ecrit: b
     return tally
 
 
-def _fan_out(n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) -> Tally:
-    """The tally of the whole tree to depth n, forked into one task per
-    node at DEFAULT_SPLIT_DEPTH when more than one worker is available
-    and the window leaves enough work to repay starting them."""
+def _fan_out(root_bits: int, m: int, n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) -> Tally:
+    """The tally of the subtree under any root (see _walk), forked into one
+    task per node at DEFAULT_SPLIT_DEPTH when the root lies above it, more
+    than one worker is available and the window leaves enough work."""
     workers = resolve_threads(threads)
     split_depth = DEFAULT_SPLIT_DEPTH
-    if workers <= 1 or n <= split_depth + 1:
-        return _walk_counts(0, 0, n, lo, hi, leaf_ecrit)
-    # The shallow walk keeps the roots that can still reach the window:
-    # a root at split_depth may gain up to n - split_depth more ones.
-    shallow = _new_tally(split_depth)
     depth = n - split_depth
-    roots = list(_walk(0, 0, split_depth, max(0, lo - depth), hi, False, shallow, True))
-    # Starting a pool costs tens of milliseconds, which a walk bounded by
-    # fewer than _FORK_MIN_LEAVES leaves does not repay at two workers:
-    # such a walk stays here. The leaves under a root with t ones are
-    # bounded by the ways of placing lo - t .. hi - t more ones below it.
-    reach = [
-        sum(math.comb(depth, k) for k in range(max(0, lo - t), min(hi - t, depth) + 1))
-        for t in range(split_depth + 1)
-    ]
-    if sum(reach[bits.bit_count()] for bits in roots) < _FORK_MIN_LEAVES:
-        return _walk_counts(0, 0, n, lo, hi, leaf_ecrit)
+    fork = workers > 1 and m < split_depth and depth > 1
+    if fork:
+        # The shallow walk keeps the roots that can still reach the window:
+        # a root at split_depth may gain up to depth more ones.
+        shallow = _new_tally(split_depth)
+        roots = list(_walk(root_bits, m, split_depth, max(0, lo - depth), hi, False, shallow, True))
+        # Starting a pool costs tens of milliseconds, which a walk bounded by
+        # fewer than _FORK_MIN_LEAVES leaves does not repay at two workers:
+        # such a walk stays here. The leaves under a root with t ones are
+        # bounded by the ways of placing lo - t .. hi - t more ones below it.
+        reach = [
+            sum(math.comb(depth, k) for k in range(max(0, lo - t), min(hi - t, depth) + 1))
+            for t in range(split_depth + 1)
+        ]
+        fork = sum(reach[bits.bit_count()] for bits in roots) >= _FORK_MIN_LEAVES
+    if not fork:
+        return _walk_counts(root_bits, m, n, lo, hi, leaf_ecrit)
     pad = [0] * (depth + 1)
     tally = (shallow[0][:split_depth] + pad, shallow[1][:split_depth] + pad, [0] * (n + 1))
     chunk = max(1, len(roots) // (workers * 8))
@@ -245,7 +247,7 @@ def census(
     """Count 1-prefix-normal words (and critical words) for every length
     up to n in a single walk, forked across subtrees when threads > 1."""
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
-    nodes, ecrit, hist = _fan_out(n, 0, n, include_leaf_ecrit, threads)
+    nodes, ecrit, hist = _fan_out(0, 0, n, 0, n, include_leaf_ecrit, threads)
     return Census(n, tuple(nodes), tuple(ecrit), tuple(hist))
 
 
@@ -287,7 +289,7 @@ def count_pnw_density(
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     if not 0 <= d <= n:
         raise ValueError(f"density {d} out of range 0..{n}")
-    return _fan_out(n, d, d, False, threads)[2][d]
+    return _fan_out(0, 0, n, d, d, False, threads)[2][d]
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +399,18 @@ def ext_count(
     unsafe_large: bool = False,
 ) -> int:
     """Number of length-m words u such that w u is 1-prefix-normal
-    (restricted to total density d when given)."""
+    (restricted to total density d when given), forked like census."""
     if m < 0:
         raise ValueError("extension length must be non-negative")
     total_len = len(w) + m
     check_scale("enumeration length", total_len, ENUM_LENGTH_GUARD, unsafe_large)
-    if not is_prefix_normal(w, 1):
+    if not is_prefix_normal(w, 1, unsafe_large=unsafe_large):
         raise ContractError("ext_count requires a 1-prefix-normal base word")
     if d is not None and d < 0:
         raise ValueError("density must be non-negative")
     # A window no leaf can reach (d > total_len) ends the walk at its root.
     lo, hi = (0, total_len) if d is None else (d, d)
-    return sum(_walk_counts(w.packed, len(w), total_len, lo, hi, False)[2])
+    return sum(_fan_out(w.packed, len(w), total_len, lo, hi, False, None)[2])
 
 
 def ext_bijection_check(n: int, d: int, *, unsafe_large: bool = False) -> bool:
@@ -452,15 +454,12 @@ def separating_suffix(v: BinaryWord, w: BinaryWord) -> Separation:
             raise ContractError(f"{name} must be 1-prefix-normal")
 
     a, b = (v, w) if len(v) <= len(w) else (w, v)
-    diff = next((i for i in range(1, len(a) + 1) if a.bit(i) != b.bit(i)), None)
-    if diff is not None:
-        # First difference inside the shorter word: pad past the longer
-        # word, then replay whichever word holds the 1.
-        winner = a if a.bit(diff) == 1 else b
+    x = a.packed ^ b.packed
+    if x:
+        # x's lowest set bit is the first difference, a padded with zeros:
+        # pad past the longer word, then replay the word holding the 1 there.
+        winner = a if a.packed & x & -x else b
         u = BinaryWord(0, len(b)) + winner
-    elif any(b.bit(i) == 1 for i in range(len(a) + 1, len(b) + 1)):
-        # a is a proper prefix and b gains a 1 later: b wins the same way.
-        u = BinaryWord(0, len(b)) + b
     else:
         # b = a 0^m. Either doubling a already separates, or the least
         # zero-padding k that makes a 0^k a normal does (shifted by one).

@@ -718,6 +718,16 @@ class TestMisc:
         code, _, err = run(capsys, "ext", "10110", "3")
         assert code == 1
 
+    def test_ext_unsafe_large_lifts_its_contract_check(self, capsys, tmp_path):
+        # 01^100000 is not normal, so the lifted profile costs O(n) and the
+        # walk never starts: the contract, not the profile guard, refuses it.
+        path = tmp_path / "w.txt"
+        path.write_text("0" + "1" * PROFILE_LENGTH_GUARD + "\n")
+        code, out, err = run(capsys, "ext", "--file", str(path), "1")
+        assert (code, out) == (3, "") and "100001 refused" in err
+        code, out, err = run(capsys, "ext", "--file", str(path), "1", "--unsafe-large")
+        assert (code, out, err) == (1, "", "error: ext_count requires a 1-prefix-normal base word\n")
+
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "bounds", "16")
         assert code == 0

@@ -25,7 +25,7 @@ from pnfkit import (
     upper_bound_threshold,
 )
 from pnfkit import combinatorics
-from pnfkit.bitword import _pnf1_bits
+from pnfkit.bitword import PROFILE_LENGTH_GUARD, _pnf1_bits
 from pnfkit.combinatorics import _GF_TABLE, _bound_rows, resolve_threads
 from pnfkit.normality import can_append_one
 from conftest import (
@@ -48,6 +48,19 @@ def fibonacci(n):
     for _ in range(n - 1):
         a, b = b, a + b
     return a
+
+
+def record_pools(monkeypatch, executor=concurrent.futures.ProcessPoolExecutor):
+    """Start every pool a walk forks into as an executor of this kind; the
+    list returned collects the options each pool was started with."""
+    pools = []
+
+    def pool(**options):
+        pools.append(options)
+        return executor(**options)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return pools
 
 
 def partition_count(n):
@@ -200,6 +213,44 @@ class TestWalkKernel:
             for d in range(n + 2):
                 assert ext_count(w, m, d) == count_density_oracle(prefix, n, d), (n, d)
 
+    @pytest.mark.parametrize("split", [2, 5, 9])
+    def test_forked_ext_count_from_roots(self, monkeypatch, split):
+        # Every root above the split depth forks, on a one-CPU runner too.
+        monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
+        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
+        monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 2)
+        roots = [(parse_word(root), range(len(root), 18)) for root in ("1", "10", "110", "1101")]
+        forking = [n for w, lengths in roots for n in lengths if len(w) < split and n > split + 1]
+        # The unrestricted counts cross real processes. The density sweep
+        # runs the same tasks on threads, which start in microseconds,
+        # where over a thousand process pools would take seconds.
+        pools = record_pools(monkeypatch)
+        for w, lengths in roots:
+            prefix = tuple(w.prefix_counts(1))
+            for n in lengths:
+                assert ext_count(w, n - len(w)) == walk_counts_oracle(prefix, n, False, False)[0][n], (w, n)
+        assert len(pools) == len(forking)
+        pools = record_pools(monkeypatch, concurrent.futures.ThreadPoolExecutor)
+        for w, lengths in roots:
+            prefix = tuple(w.prefix_counts(1))
+            for n in lengths:
+                for d in range(n + 2):
+                    assert ext_count(w, n - len(w), d) == count_density_oracle(prefix, n, d), (w, n, d)
+        assert len(pools) == sum(n + 2 for n in forking)
+
+    def test_root_at_or_below_split_depth_walks_in_process(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", 4)
+        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
+        monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 2)
+        pools = record_pools(monkeypatch)
+        for root in ("1101", "11010", "110101"):
+            w = parse_word(root)
+            prefix = tuple(w.prefix_counts(1))
+            assert ext_count(w, 16 - len(root)) == walk_counts_oracle(prefix, 16, False, False)[0][16], root
+        assert pools == []
+        assert ext_count(parse_word("110"), 13) == walk_counts_oracle((0, 1, 2, 2), 16, False, False)[0][16]
+        assert pools == [{"max_workers": 2}]
+
     @pytest.mark.parametrize("x", [0, 1])
     def test_enumeration_order(self, x):
         for n in range(19):
@@ -233,20 +284,19 @@ class TestWalkKernel:
     def test_fork_only_for_enough_work(self, monkeypatch):
         # A narrow window, or a shallow tree, walks in-process; a walk
         # with enough leaves forks.
-        pools = []
-        real = concurrent.futures.ProcessPoolExecutor
-
-        def recording_pool(**options):
-            pools.append(options)
-            return real(**options)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        pools = record_pools(monkeypatch)
+        # ext_count reads the default worker count, as census does.
+        monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 2)
         for d in (2, 5, 24, 27):
             assert count_pnw_density(28, d, threads=2) == count_density_oracle((0,), 28, d)
         assert census(16, threads=2).pnw[16] == 7568
+        assert ext_count(parse_word("10"), 26, 3) == count_density_oracle((0, 1, 1), 28, 3)
         assert pools == []
         assert count_pnw_density(24, 10, threads=2) == count_density_oracle((0,), 24, 10)
         assert pools == [{"max_workers": 2}]
+        # pnw(24) less the word 0^24, the only one not starting with 1.
+        assert ext_count(parse_word("1"), 23) == 1043212 - 1
+        assert pools == [{"max_workers": 2}] * 2
 
 
 class TestDensityCounts:
@@ -357,6 +407,13 @@ class TestExtensions:
     def test_contract_and_guard(self):
         with pytest.raises(ContractError):
             ext_count(parse_word("10110"), 2)
+        # The lifted call runs the contract check past the profile guard;
+        # 01^n is not normal, so that check is O(n) and no walk starts.
+        long_word = parse_word("0" + "1" * PROFILE_LENGTH_GUARD)
+        with pytest.raises(ScaleError):
+            ext_count(long_word, 1)
+        with pytest.raises(ContractError):
+            ext_count(long_word, 1, unsafe_large=True)
         with pytest.raises(ScaleError):
             ext_count(parse_word("1"), 30)
         with pytest.raises(ValueError):
@@ -465,6 +522,20 @@ class TestSeparatingSuffix:
                 assert is_prefix_normal(v + sep.suffix, 1) != is_prefix_normal(
                     w + sep.suffix, 1
                 )
+
+    def test_first_difference_suffix(self):
+        # When a 0^oo (a the shorter word) and b differ, the suffix pads
+        # past b and replays the word holding the 1 at their first difference.
+        words = [w for n in range(1, 9) for w in enumerate_pn(n, 1) if w.bit(1) == 1]
+        for v in words:
+            for w in words:
+                a, b = (v, w) if len(v) <= len(w) else (w, v)
+                padded = a + BinaryWord(0, len(b) - len(a))
+                diff = next((i for i in range(1, len(b) + 1) if padded.bit(i) != b.bit(i)), None)
+                if diff is None:
+                    continue
+                winner = a if padded.bit(diff) == 1 else b
+                assert separating_suffix(v, w).suffix == BinaryWord(0, len(b)) + winner, (v, w)
 
     def test_padding_search_matches_linear_scan(self):
         # b = a 0: the bisected padding equals the least k a scan from
