@@ -95,7 +95,11 @@ class BinaryWord:
         return format(self._bits, "b").zfill(self._n)[::-1]
 
     def bit(self, i: int) -> int:
-        """The symbol at position i, 1 <= i <= n."""
+        """The symbol at position i, 1 <= i <= n.
+
+        Each call shifts the whole packed int, O(n): scan a word through
+        prefix_counts or to01, not bit by bit.
+        """
         if not 1 <= i <= self._n:
             raise IndexError(f"position {i} out of range 1..{self._n}")
         return (self._bits >> (i - 1)) & 1
@@ -187,7 +191,9 @@ def _pnf1_bits(bits: int, n: int) -> int:
     (see each branch), so step t drops them from mask, ones and b, and
     its tests run on the (F - t) * W live bits, F the field count. A
     profile takes at most r + n tests of a few operations each: the sum
-    of their live bits, at most (r + n) * F * W, after O(r) packing steps.
+    of their live bits, at most (r + n) * F * W. Packing comes first: r
+    steps, each rewriting the whole of q and of the unpacked bits, so
+    O(r * (r * W + n)) bit operations.
     """
     w = (2 * n + 2).bit_length() + 1
     r = bits.bit_count()

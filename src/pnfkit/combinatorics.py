@@ -281,15 +281,13 @@ def count_ecrit(n: int, *, unsafe_large: bool = False) -> int:
     return census(n, include_leaf_ecrit=True, unsafe_large=unsafe_large).ecrit[n]
 
 
-def count_pnw_density(
-    n: int, d: int, *, threads: int | None = None, unsafe_large: bool = False
-) -> int:
+def count_pnw_density(n: int, d: int, *, unsafe_large: bool = False) -> int:
     """pnw(n, d): 1-prefix-normal words of length n with exactly d ones,
-    forked across subtrees like census when threads > 1."""
+    forked like census."""
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     if not 0 <= d <= n:
         raise ValueError(f"density {d} out of range 0..{n}")
-    return _fan_out(0, 0, n, d, d, False, threads)[2][d]
+    return _fan_out(0, 0, n, d, d, False, None)[2][d]
 
 
 # ---------------------------------------------------------------------------

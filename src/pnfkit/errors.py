@@ -21,8 +21,7 @@ class ScaleError(PnfkitError, ValueError):
     """The requested ``size`` of ``what`` exceeds a desk-scale guard's ``limit``.
 
     ``unsafe_large=True`` (``--unsafe-large`` on the CLI) lifts every guard
-    but the series-order one and the profile guard of ``prefix_equivalent``
-    and ``parikh_set_equal``, which take no ``unsafe_large``.
+    but the series-order one.
     """
 
     def __init__(self, what: str, size: int, limit: int):

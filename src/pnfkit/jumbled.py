@@ -75,20 +75,11 @@ def _index_of(pair: PnfPair) -> JumbledIndex:
 
 
 def query_bruteforce(w: BinaryWord, *, ones: int, zeros: int) -> bool:
-    """Oracle: scan all factors for the requested composition."""
+    """Oracle: scan every factor's ones-count off w's own prefix counts."""
     _check_counts(ones, zeros)
     k = ones + zeros
-    n = len(w)
-    if k > n:
-        return False
-    window = sum(w.bit(i) for i in range(1, k + 1))
-    if window == ones:
-        return True
-    for start in range(2, n - k + 2):
-        window += w.bit(start + k - 1) - w.bit(start - 1)
-        if window == ones:
-            return True
-    return False
+    p = w.prefix_counts(1)
+    return any(p[i + k] - p[i] == ones for i in range(len(w) - k + 1))
 
 
 # --- persistent format -----------------------------------------------------

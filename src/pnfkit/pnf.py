@@ -41,33 +41,31 @@ class PnfPair(NamedTuple):
     pnf0: BinaryWord
 
 
-# Profile step (0 or 1) to the '0'/'1' symbol it stands for, indexed by
-# the symbol a step emits.
-_STEP_SYMBOLS = (bytes.maketrans(b"\x00\x01", b"10"), bytes.maketrans(b"\x00\x01", b"01"))
+# Profile step (0 or 1) to the '0'/'1' symbol it stands for: 1 on a step.
+_STEP_SYMBOLS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _difference_word(profile: tuple[int, ...], increment_symbol: int) -> BinaryWord:
-    # Profile steps are 0 or 1; emit increment_symbol on a step, its
-    # opposite otherwise.
+def _difference_word(profile: tuple[int, ...]) -> BinaryWord:
     steps = bytes(map(sub, profile[1:], profile))
-    return parse_word(steps.translate(_STEP_SYMBOLS[increment_symbol]).decode("ascii"))
+    return parse_word(steps.translate(_STEP_SYMBOLS).decode("ascii"))
 
 
 def pnf1(w: BinaryWord, *, unsafe_large: bool = False) -> BinaryWord:
     """The unique 1-prefix-normal word sharing w's maximum-ones function."""
-    return _difference_word(max_ones_profile(w, unsafe_large=unsafe_large), 1)
+    return _difference_word(max_ones_profile(w, unsafe_large=unsafe_large))
 
 
 def pnf0(w: BinaryWord, *, unsafe_large: bool = False) -> BinaryWord:
-    """The unique 0-prefix-normal word sharing w's maximum-zeros function."""
-    return _difference_word(max_zeros_profile(w, unsafe_large=unsafe_large), 0)
+    """The unique 0-prefix-normal word sharing w's maximum-zeros function:
+    the complement of the 1-form that the maximum-zeros profile spells."""
+    return _difference_word(max_zeros_profile(w, unsafe_large=unsafe_large)).complement()
 
 
 def pnf_pair(w: BinaryWord, *, unsafe_large: bool = False) -> PnfPair:
     return PnfPair(pnf1(w, unsafe_large=unsafe_large), pnf0(w, unsafe_large=unsafe_large))
 
 
-def prefix_equivalent(v: BinaryWord, w: BinaryWord, x: int = 1) -> bool:
+def prefix_equivalent(v: BinaryWord, w: BinaryWord, x: int = 1, *, unsafe_large: bool = False) -> bool:
     """True iff v and w have identical maximum-x profiles.
 
     Words of different lengths are never equivalent (the profiles have
@@ -78,7 +76,7 @@ def prefix_equivalent(v: BinaryWord, w: BinaryWord, x: int = 1) -> bool:
         return False
     if x == 0:
         v, w = v.complement(), w.complement()
-    return _pnf1_checked(v) == _pnf1_checked(w)
+    return _pnf1_checked(v, unsafe_large=unsafe_large) == _pnf1_checked(w, unsafe_large=unsafe_large)
 
 
 def parikh_set(w: BinaryWord, *, unsafe_large: bool = False) -> frozenset[ParikhVector]:
@@ -101,21 +99,22 @@ def parikh_set(w: BinaryWord, *, unsafe_large: bool = False) -> frozenset[Parikh
 
 
 def parikh_set_bruteforce(w: BinaryWord) -> frozenset[ParikhVector]:
-    """Independent oracle: enumerate every factor directly."""
+    """Independent oracle: every factor w[i+1..j], counted off w's own
+    prefix counts."""
+    p = w.prefix_counts(1)
     n = len(w)
-    vectors = {ParikhVector(0, 0)}
-    for start in range(n):
-        for end in range(start + 1, n + 1):
-            ones = sum(w.bit(i) for i in range(start + 1, end + 1))
-            vectors.add(ParikhVector(zeros=(end - start) - ones, ones=ones))
-    return frozenset(vectors)
+    return frozenset(
+        ParikhVector(zeros=j - i - (p[j] - p[i]), ones=p[j] - p[i])
+        for i in range(n + 1)
+        for j in range(i, n + 1)
+    )
 
 
-def parikh_set_equal(v: BinaryWord, w: BinaryWord) -> bool:
+def parikh_set_equal(v: BinaryWord, w: BinaryWord, *, unsafe_large: bool = False) -> bool:
     """True iff v and w have the same Parikh set.
 
     Decided through the normal forms: the Parikh sets coincide exactly
     when both normal forms coincide. Works at any length the profile
-    guard admits, unlike materializing the sets.
+    guard admits, or unsafe_large lifts, unlike materializing the sets.
     """
-    return prefix_equivalent(v, w, 1) and prefix_equivalent(v, w, 0)
+    return all(prefix_equivalent(v, w, x, unsafe_large=unsafe_large) for x in (1, 0))

@@ -198,10 +198,11 @@ class TestWalkKernel:
                 assert c.ecrit == tuple(ecrit), (n, leaf_ecrit)
                 assert c.by_density == tuple(hist), (n, leaf_ecrit)
 
-    def test_every_density(self):
+    def test_every_density(self, monkeypatch):
+        monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 1)
         for n in range(19):
             for d in range(n + 1):
-                assert count_pnw_density(n, d, threads=1) == count_density_oracle((0,), n, d), (n, d)
+                assert count_pnw_density(n, d) == count_density_oracle((0,), n, d), (n, d)
 
     @pytest.mark.parametrize("root", ["10", "110", "1101"])
     def test_ext_count_from_roots(self, root):
@@ -278,21 +279,24 @@ class TestWalkKernel:
     def test_density_fan_out_invariance(self, monkeypatch, split):
         monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
         monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
-        for d in range(16):
-            assert count_pnw_density(15, d, threads=2) == count_pnw_density(15, d, threads=1), d
+        counts = {}
+        for workers in (2, 1):
+            monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: workers)
+            counts[workers] = [count_pnw_density(15, d) for d in range(16)]
+        assert counts[2] == counts[1]
 
     def test_fork_only_for_enough_work(self, monkeypatch):
         # A narrow window, or a shallow tree, walks in-process; a walk
         # with enough leaves forks.
         pools = record_pools(monkeypatch)
-        # ext_count reads the default worker count, as census does.
+        # ext_count and count_pnw_density read the default worker count.
         monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 2)
         for d in (2, 5, 24, 27):
-            assert count_pnw_density(28, d, threads=2) == count_density_oracle((0,), 28, d)
+            assert count_pnw_density(28, d) == count_density_oracle((0,), 28, d)
         assert census(16, threads=2).pnw[16] == 7568
         assert ext_count(parse_word("10"), 26, 3) == count_density_oracle((0, 1, 1), 28, 3)
         assert pools == []
-        assert count_pnw_density(24, 10, threads=2) == count_density_oracle((0,), 24, 10)
+        assert count_pnw_density(24, 10) == count_density_oracle((0,), 24, 10)
         assert pools == [{"max_workers": 2}]
         # pnw(24) less the word 0^24, the only one not starting with 1.
         assert ext_count(parse_word("1"), 23) == 1043212 - 1

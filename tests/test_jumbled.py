@@ -83,6 +83,17 @@ class TestQueries:
                         assert ix.query(ones=ones, zeros=zeros) == expected
                         assert ix.query_via_rank(ones=ones, zeros=zeros) == expected
 
+    def test_bruteforce_matches_string_scan(self):
+        # The oracle against a slice count of every factor, from the empty
+        # factor (k = 0) to totals one past the word (k = n + 1).
+        for n in range(9):
+            for w in all_words(n):
+                text = w.to01()
+                for k in range(n + 2):
+                    counts = {text[i : i + k].count("1") for i in range(n - k + 1)}
+                    for ones in range(k + 1):
+                        assert query_bruteforce(w, ones=ones, zeros=k - ones) == (ones in counts), (text, k, ones)
+
     def test_oracle_equivalence_invariant_to_16(self):
         # The acceptance gate scans lengths <= 14; this finishes the
         # stated exhaustive bound. Among the slowest tests in the suite.

@@ -19,7 +19,6 @@ from pnfkit import (
     pnf_pair,
     prefix_equivalent,
 )
-from pnfkit.pnf import _difference_word
 from conftest import (
     all_words,
     pack_oracle,
@@ -170,15 +169,12 @@ class TestKernelMatchesWindowScan:
 
 
 class TestDifferenceWord:
-    """Normal forms packed in one pass against a bit-at-a-time packing."""
+    """Both normal forms against a bit-at-a-time packing of their profile steps."""
 
     @staticmethod
     def assert_matches(w):
-        for v, symbol in ((max_ones_profile(w), 1), (max_zeros_profile(w), 0)):
-            expected = pack_oracle(
-                [symbol if b > a else 1 - symbol for a, b in zip(v, v[1:])]
-            )
-            assert _difference_word(v, symbol) == expected
+        for form, v, symbol in ((pnf1(w), max_ones_profile(w), 1), (pnf0(w), max_zeros_profile(w), 0)):
+            assert form == pack_oracle([symbol if b > a else 1 - symbol for a, b in zip(v, v[1:])])
 
     def test_exhaustive_to_10(self):
         for w in words_up_to(10):
@@ -240,6 +236,19 @@ class TestParikhSets:
         for _ in range(20):
             w = random_word(rng, rng.randrange(9, 25))
             assert parikh_set(w) == parikh_set_bruteforce(w)
+
+    def test_bruteforce_matches_string_scan(self):
+        # The oracle against a slice count of every factor w[i+1..j],
+        # the empty one included.
+        for n in range(9):
+            for w in all_words(n):
+                text = w.to01()
+                expected = {
+                    ParikhVector(zeros=j - i - text[i:j].count("1"), ones=text[i:j].count("1"))
+                    for i in range(n + 1)
+                    for j in range(i, n + 1)
+                }
+                assert parikh_set_bruteforce(w) == expected, text
 
     def test_scale_guard(self):
         with pytest.raises(ScaleError):

@@ -47,8 +47,8 @@ GUARDS = {
     "min_ones_profile": (lambda s, **kw: min_ones_profile(BinaryWord(0, s), **kw), PROFILE_LENGTH_GUARD, True),
     "pnf_pair": (lambda s, **kw: pnf_pair(ones(s), **kw), PROFILE_LENGTH_GUARD, True),
     "is_prefix_normal": (lambda s, **kw: is_prefix_normal(ones(s), **kw), PROFILE_LENGTH_GUARD, True),
-    "prefix_equivalent": (lambda s: prefix_equivalent(ones(s), ones(s)), PROFILE_LENGTH_GUARD, False),
-    "parikh_set_equal": (lambda s: parikh_set_equal(ones(s), ones(s)), PROFILE_LENGTH_GUARD, False),
+    "prefix_equivalent": (lambda s, **kw: prefix_equivalent(ones(s), ones(s), **kw), PROFILE_LENGTH_GUARD, True),
+    "parikh_set_equal": (lambda s, **kw: parikh_set_equal(ones(s), ones(s), **kw), PROFILE_LENGTH_GUARD, True),
     "census": (census, ENUM_LENGTH_GUARD, False),
     "enumerate_pn": (lambda s, **kw: next(enumerate_pn(s, **kw)), ENUM_LENGTH_GUARD, True),
     "count_pnw_density": (lambda s, **kw: count_pnw_density(s, s, **kw), ENUM_LENGTH_GUARD, True),
