@@ -51,15 +51,16 @@ _COUNT_CHUNK = 1 << 16
 
 def _read_word_text(fp, unsafe_large: bool, what="word length", limit=PROFILE_LENGTH_GUARD) -> BinaryWord:
     """The newline-terminated word on fp. Without unsafe_large at most limit
-    plus two characters are held: a longer word is refused by its real length,
-    counted chunk by chunk, before any of it is parsed. The count stops at, and
-    includes, the first character other than 0, 1 or a newline, so endless
-    input that is not a word is refused too."""
+    plus two characters are held: a longer word is refused by its length
+    before any of it is parsed. The characters past the held ones are counted
+    chunk by chunk, up to and including the first one other than 0, 1 or a
+    newline, and none are counted if a held character is already such a one,
+    so endless input that is not a word is refused too."""
     cap = None if unsafe_large else limit + 2
     text = fp.read(cap)
     word = text.rstrip("\n")
     n = len(word)
-    if len(text) == cap:
+    if len(text) == cap and not text.lstrip("01\n"):
         trailing = len(text) - n
         while chunk := fp.read(_COUNT_CHUNK):
             if stray := chunk.lstrip("01\n"):
@@ -99,8 +100,17 @@ def _emit(args, fields: list[str], rows: Iterable[tuple], text_lines: Iterable[s
         else:
             lines = text_lines
         chunks = ("\n".join(block) + "\n" for block in _blocks(lines))
-    for chunk in chunks:
-        sys.stdout.write(chunk)
+    # A lifted count may pass the interpreter's int-to-str digit limit (absent
+    # before Python 3.10.7). It is lifted while the output is rendered, and
+    # only then: the command has parsed all of its input by now.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_digits(0)
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+    finally:
+        set_digits(digits)
 
 
 def _blocks(items: Iterable) -> Iterator[list]:
@@ -183,9 +193,10 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-# A query-batch CSV is read this many characters at a time, and a row that
-# reaches this length is malformed. An error quotes at most the first
-# _ROW_ECHO characters of a bad row.
+# A query-batch CSV is read a row at a time, at most this many characters
+# of it: a row that reaches this length is malformed, wherever it starts, and
+# the rest of it is not read. An error quotes at most the first _ROW_ECHO
+# characters of a bad row.
 _ROW_CAP = 64 * 1024
 _ROW_ECHO = 80
 
@@ -193,21 +204,6 @@ _ROW_ECHO = 80
 def _bad_row(path: str, lineno: int, line: str) -> ValueError:
     echo = repr(line) if len(line) <= _ROW_ECHO else f"{line[:_ROW_ECHO]!r}..."
     return ValueError(f"{path}:{lineno}: expected 'ones,zeros' of counts >= 0, got {echo}")
-
-
-def _csv_lines(fp, path: str) -> Iterator[str]:
-    """The lines of fp without their newlines, holding under 2 * _ROW_CAP
-    characters at a time: a line that reaches _ROW_CAP characters is refused
-    before the rest of it is read."""
-    count, rest = 0, ""
-    while chunk := fp.read(_ROW_CAP):
-        *lines, rest = (rest + chunk).split("\n")
-        count += len(lines)
-        yield from lines
-        if len(rest) >= _ROW_CAP:
-            raise _bad_row(path, count + 1, rest)
-    if rest:
-        yield rest
 
 
 def _cmd_index(args) -> int:
@@ -230,7 +226,9 @@ def _cmd_index(args) -> int:
     rows = []
     # Not UTF-8, under which int() would take digits such as '３'.
     with open(args.csvfile, "r", encoding="ascii", errors="surrogateescape") as fp:
-        for lineno, line in enumerate(_csv_lines(fp, args.csvfile), start=1):
+        for lineno, line in enumerate(iter(partial(fp.readline, _ROW_CAP), ""), start=1):
+            if len(line) == _ROW_CAP and not line.endswith("\n"):
+                raise _bad_row(args.csvfile, lineno, line)
             line = line.strip()
             if not line or (lineno == 1 and line.lower().replace(" ", "") == "ones,zeros"):
                 continue
@@ -344,7 +342,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_prenecklaces(args) -> int:
     value = lyndon.count_prenecklaces(args.n, unsafe_large=args.unsafe_large)
-    _emit(args, ["n", "prenecklaces"], [(args.n, value)], text_lines=[str(value)])
+    _emit(args, ["n", "prenecklaces"], [(args.n, value)], text_lines=map(str, [value]))
     return EXIT_OK
 
 

@@ -3,10 +3,12 @@ import json
 import math
 import os
 import random
+import re
 import struct
 import subprocess
 import sys
 from binascii import crc32
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ import pytest
 import pnfkit
 from pnfkit import build_index, cli, parse_word
 from pnfkit.bitword import PROFILE_LENGTH_GUARD
-from pnfkit.cli import _BLOCK_LINES, main
+from pnfkit.cli import _BLOCK_LINES, _ROW_CAP, main
+from pnfkit.lyndon import count_prenecklaces
 from pnfkit.normality import CHARACTERISATION_GUARD
 from pnfkit.pnf import PARIKH_SET_LENGTH_GUARD
 
@@ -133,21 +136,38 @@ class TestPnf:
         assert run(capsys, "check", "--file", str(path)) == (0, "normal\n", "")
 
     def test_endless_input_that_is_not_a_word_is_refused(self, capsys, monkeypatch):
-        # Like /dev/zero on stdin: the count stops at the first NUL past
-        # the held characters.
-        sizes = []
-
-        class Zeros:
-            def read(self, size=-1):
-                assert size is not None and size >= 0 and len(sizes) < 10
-                sizes.append(size)
-                return "\0" * size
-
-        monkeypatch.setattr("sys.stdin", Zeros())
+        # Like /dev/zero on stdin: a held NUL ends the count at the held
+        # characters, so nothing past them is read.
+        stdin = Endless("", "\0")
+        monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, "pnf", "--stdin")
         assert (code, out) == (3, "")
-        assert err == "error: word length 100003 refused: the limit is 100000\n"
-        assert len(sizes) == 2
+        assert err == "error: word length 100002 refused: the limit is 100000\n"
+        assert len(stdin.sizes) == 1
+
+    def test_bad_character_among_the_held_ones_ends_the_count(self, capsys, monkeypatch):
+        # 0x, then 0s without end: the x is held, so the endless 0s past the
+        # held characters are not counted.
+        stdin = Endless("0x", "0")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "pnf", "--stdin")
+        assert (code, out) == (3, "")
+        assert err == "error: word length 100002 refused: the limit is 100000\n"
+        assert len(stdin.sizes) == 1
+
+
+class Endless:
+    """A text stream of head, then fill without end, that fails its third read."""
+
+    def __init__(self, head, fill):
+        self.head, self.fill, self.sizes = head, fill, []
+
+    def read(self, size=-1):
+        assert size is not None and size >= 0 and len(self.sizes) < 2
+        self.sizes.append(size)
+        text = (self.head + self.fill * size)[:size]
+        self.head = self.head[size:]
+        return text
 
 
 class ReadLog:
@@ -300,6 +320,12 @@ class TestCheck:
         assert code == 0 and out == "not normal\n"
 
 
+# The text before a row of a query-batch CSV: none, a row, a header, and
+# rows that end a few characters before a 64 KiB boundary.
+ROW_HEADS = ["", "3,2\n", "ones,zeros\n", "3,2\n" * (_ROW_CAP // 4 - 1)]
+ROW_HEAD_IDS = ["1", "2", "after-header", "near-a-boundary"]
+
+
 class TestIndex:
     def test_build_query_roundtrip(self, capsys, tmp_path):
         wordfile = tmp_path / "word.txt"
@@ -334,8 +360,8 @@ class TestIndex:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_query_batch_rows_across_read_chunks(self, capsys, tmp_path, newline):
-        # About 7 chunks of 64 KiB, with blank rows, padding and no final
-        # newline: every row is answered, in order, wherever a chunk ends.
+        # About 7 times 64 KiB, with blank rows, padding and no final
+        # newline: every row is answered, in order, wherever a read ends.
         wordfile = tmp_path / "word.txt"
         wordfile.write_text("1001101\n")
         ixfile = tmp_path / "word.pnfix"
@@ -371,27 +397,54 @@ class TestIndex:
         assert code == 2 and out == ""
         assert err == f"error: {queries}:2: expected 'ones,zeros' of counts >= 0, got {row!r}\n"
 
-    @pytest.mark.parametrize("lineno", [1, 2])
+    @pytest.mark.parametrize("head", ROW_HEADS, ids=ROW_HEAD_IDS)
     @pytest.mark.parametrize(
         "row",
-        ["9" * 1_000_000, "3,2" + " " * 1_000_000, "1," + "x" * 1_000],
-        ids=["past-cap", "padded", "under-cap"],
+        ["9" * 1_000_000, "3,2" + " " * 1_000_000, "3,2" + " " * (_ROW_CAP - 3), "1," + "x" * 1_000],
+        ids=["past-cap", "padded", "at-cap", "under-cap"],
     )
-    def test_query_batch_long_row_quoted_by_a_prefix(self, capsys, tmp_path, lineno, row):
-        # The 1 MB rows reach the row cap, so they are malformed even when
-        # they would parse; the other is read whole. Each is quoted by its
-        # first 80 characters.
+    def test_query_batch_long_row_quoted_by_a_prefix(self, capsys, tmp_path, head, row):
+        # Rows that reach the row cap are malformed even when they would
+        # parse, wherever they start; the last is read whole. Each is quoted
+        # by its first 80 characters.
         wordfile = tmp_path / "word.txt"
         wordfile.write_text("1001101\n")
         ixfile = tmp_path / "word.pnfix"
         run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
         queries = tmp_path / "queries.csv"
-        queries.write_text("3,2\n" * (lineno - 1) + row + "\n3,2\n")
+        queries.write_text(head + row + "\n3,2\n")
         code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
         assert code == 2 and out == ""
+        lineno = head.count("\n") + 1
         expected = f"error: {queries}:{lineno}: expected 'ones,zeros' of counts >= 0, got {row[:80]!r}...\n"
         assert err == expected
         assert len(err.encode()) < 1024
+
+    @pytest.mark.parametrize("head", ROW_HEADS, ids=ROW_HEAD_IDS)
+    def test_query_batch_row_under_the_cap_is_answered(self, capsys, tmp_path, head):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        queries = tmp_path / "queries.csv"
+        queries.write_text(head + " " * (_ROW_CAP - 4) + "1,2\n0,3\n")
+        code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
+        answers = ["yes"] * (head.count("\n") - head.startswith("ones")) + ["yes", "no"]
+        assert (code, out.splitlines(), err) == (0, answers, "")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit before Python 3.10.7")
+    def test_query_batch_count_past_the_digit_limit_is_malformed(self, capsys, tmp_path):
+        # The int-to-str digit limit is lifted only to write the output: the
+        # rows are parsed under it.
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        queries = tmp_path / "queries.csv"
+        queries.write_text("9" * 5_000 + ",1\n")
+        code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {queries}:1: expected 'ones,zeros' of counts >= 0, got '9999")
 
     def test_corrupt_index_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.pnfix"
@@ -746,6 +799,18 @@ class TestMisc:
         with pytest.raises(SystemExit) as exc:
             main(["enum", "4", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_prenecklaces_past_the_digit_limit(self, capsys, fmt):
+        # 4,512 digits, past the interpreter's default int-to-str limit of
+        # 4,300; the limit is back in place once main returns.
+        before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "prenecklaces", "15000", "--unsafe-large", "--format", fmt)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+        assert (code, err) == (0, "")
+        (digits,) = re.findall(r"\d{6,}", out)
+        expected = count_prenecklaces(15_000, unsafe_large=True)
+        assert len(digits) == 4_512 and Decimal(digits) == expected
 
     def test_unsafe_large_override(self, capsys):
         code, out, _ = run(capsys, "prenecklaces", "10001", "--unsafe-large")
