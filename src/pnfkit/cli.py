@@ -9,6 +9,7 @@ the CSV fields one-to-one). Exit codes: 0 success, 1 domain violation,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 from itertools import chain, islice
@@ -109,6 +110,8 @@ def _emit(args, fields: list[str], rows: Iterable[tuple], text_lines: Iterable[s
     try:
         for chunk in chunks:
             sys.stdout.write(chunk)
+        # Flushed here, a reader that closed early is met inside main.
+        sys.stdout.flush()
     finally:
         set_digits(digits)
 
@@ -444,6 +447,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.unsafe_large = getattr(args, "unsafe_large", False)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # A reader that stops early (`| head`) is not an error. Stdout now
+        # writes to devnull, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (PnfkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ScaleError):

@@ -1,13 +1,10 @@
 """Enumeration of prefix normal words and the identities around it.
 
-The enumeration engine is one iterative depth-first walk, `_walk`, of
-the prefix-closed tree of 1-prefix-normal words: appending 0 always
-stays in the language, appending 1 is gated by the append-one test. One
-walk to depth n yields, per length m <= n, the word count pnw(m), the
-extension-critical count ecrit(m) and the density histogram; given a
-density window lo..hi it visits only the subtrees that can still reach
-it. Census, density and extension counts, the split-depth root
-collection and the word listing all run through it.
+The word listing, and every count from its root down to the midpoint,
+run one iterative depth-first walk, `_walk`, of the prefix-closed tree
+of 1-prefix-normal words: appending 0 always stays in the language,
+appending 1 is gated by the append-one test. Below the midpoint a count
+reads memoised completion tallies instead of walking (`_counts`).
 
 Append-one test. For a word w of length m with ones-prefix counts P,
 w1 is 1-prefix-normal iff every slack
@@ -23,16 +20,20 @@ Inherited test. With b = 0 no slack shrinks, so if w starts with 1 and
 w1 is prefix normal, then w01 is too: the 0-child of a node that passed
 the test passes without running it.
 
-Folded leaf level. A node at depth n-1 counts (and, when listing, emits)
-its one or two leaf children in place instead of pushing them; the
-leaves are tested only when ecrit(n) is asked for, and the 0-leaf
-inherits its verdict as above.
+Folded leaf level. A node at depth n-1 yields its one or two leaf
+children in place instead of pushing them.
 
-Counting walks may be forked at a fixed depth into independent subtree
-tasks, when the root lies above it and the density window leaves enough
-work to repay starting the workers; `_fan_out` decides this for every
-count, from any root. Totals are exact integers summed in task order, so
-parallel and sequential runs are bit-identical.
+Completions. For u of length k <= m, wu is 1-prefix-normal iff (a) the
+first j symbols of u hold at most e_j ones and (b) every factor of u of
+length L holds at most P(L) ones, where e_j is P(j) capped by
+min over 1 <= i <= m-j of P(i+j) - P(m) + P(m-i). (a) covers the factors
+that cross from w into u; a crossing factor longer than m reduces to
+(b). So the subtree under w to depth m + k depends only on the key
+(e_1..e_k, P(1..k)), and with the leaves' own append-one test (for
+ecrit(n)) on entry k + 1 as well. Appending b gives a child the caps
+min(e_{j+1} - b, P(j)) and drops the last P; appending 1 needs e_1 >= 1.
+A count walks to depth m0 = max(m, n//2 + 1), where k = n - m0 < m0, and
+adds one memoised tally per node there, in one process.
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ CLASS_SCAN_GUARD = 20
 CLASS_LISTING_GUARD = 8
 GF_MAX_DENSITY = 6
 GF_ORDER_GUARD = 200
-DEFAULT_SPLIT_DEPTH = 12
-_FORK_MIN_LEAVES = 1 << 17
+COMPLETION_GUARD = 254
 
 THREADS_ENV_VAR = "PNFKIT_THREADS"
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count for counting walks: explicit value, else the CPUs this
-    process may run on, capped by the PNFKIT_THREADS environment variable."""
+    """A worker count: explicit value, else the CPUs this process may run
+    on, capped by the PNFKIT_THREADS environment variable. Counts run in
+    one process and do not read it; the benchmark harness does."""
     if threads is not None:
         return max(1, threads)
     count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -81,37 +82,25 @@ def resolve_threads(threads: int | None = None) -> int:
 
 Tally = tuple[list[int], list[int], list[int]]
 
+# Each byte b -> b - 1; applied only to caps that are all at least 1.
+_DECREMENT = bytes([0, *range(255)])
 
-def _new_tally(n: int) -> Tally:
-    return ([0] * (n + 1), [0] * (n + 1), [0] * (n + 1))
 
-
-def _walk(
-    root_bits: int,
-    m: int,
-    n: int,
-    lo: int,
-    hi: int,
-    leaf_ecrit: bool,
-    tally: Tally,
-    emit: bool,
-) -> Iterator[int]:
-    """Walk the subtree under a 1-prefix-normal root down to depth n.
+def _walk(root_bits: int, m: int, n: int, lo: int, hi: int, nodes: list[int], ecrit: list[int]) -> Iterator[int]:
+    """Yield every leaf at depth n with lo..hi ones under a 1-prefix-normal
+    root, packed.
 
     The root is the word of length m <= n packed in root_bits (position
-    i at bit i - 1). Only nodes that can still reach a leaf with lo..hi
-    ones are visited. tally is (nodes, ecrit, hist), three lists of
-    length n + 1 the walk adds to: visited nodes per depth, those among
-    them that cannot take a 1, and the leaf density histogram. Each leaf
-    is recorded once, in hist: the walk leaves nodes[n] alone, and a
-    caller that reads it fills it in as sum(hist). ecrit[n] is counted
-    only with leaf_ecrit. With emit set the walk yields every leaf as a
-    packed int, 1-child first, so in descending lexicographic order;
-    otherwise it yields nothing.
+    i at bit i - 1). Only nodes that can still reach such a leaf are
+    visited. Leaves come 1-child first, so in descending lexicographic
+    order. For each inner node visited the walk adds one to nodes at its
+    depth, and one to ecrit when it cannot take a 1.
     """
-    nodes, ecrit, hist = tally
     t = root_bits.bit_count()
     if t > hi or t + n - m < lo:
+        return
+    if m == n:
+        yield root_bits
         return
     # A slack lies in -1..n-1 on a prefix normal word; field k holds
     # s(k) + g with g > n - 1, so s(k) >= 0 iff the field's top bit is set.
@@ -129,13 +118,6 @@ def _walk(
         b = bits >> i - 1 & 1
         word += b * unit[i - 1]
         slack = (slack << width) + word - b * ones[i] + zero_step + b
-    if m == n:
-        hist[t] += 1
-        if leaf_ecrit and slack & tops[n] != tops[n]:
-            ecrit[n] += 1
-        if emit:
-            yield bits
-        return
     last = n - 1
     stack: list[tuple[int, int, int, int, bool, int]] = []
     ok = False  # True when the verdict is inherited
@@ -148,24 +130,15 @@ def _walk(
         slack <<= width
         if m == last:
             if ok and t < hi:
-                hist[t + 1] += 1
-                if leaf_ecrit and (slack + word + unit[m] - one_step[n]) & tops[n] != tops[n]:
-                    ecrit[n] += 1
-                if emit:
-                    yield bits | 1 << m
+                yield bits | 1 << m
             if t >= lo:
-                hist[t] += 1
-                if leaf_ecrit and not (ok and m > 0) and (slack + word + zero_step) & tops[n] != tops[n]:
-                    ecrit[n] += 1
-                if emit:
-                    yield bits
+                yield bits
         else:
             if t + last - m >= lo:
                 stack.append((m + 1, t, slack + word + zero_step, word, ok and m > 0, bits))
             if ok and t < hi:
                 word += unit[m]
-                if emit:
-                    bits |= 1 << m
+                bits |= 1 << m
                 m += 1
                 t += 1
                 slack += word - one_step[m]
@@ -176,54 +149,78 @@ def _walk(
         m, t, slack, word, ok, bits = stack.pop()
 
 
-def _walk_counts(root_bits: int, m: int, n: int, lo: int, hi: int, leaf_ecrit: bool) -> Tally:
-    """The tally of one counting walk (see _walk), with nodes[n] filled
-    in as the sum of the leaf histogram."""
-    tally = _new_tally(n)
-    # A counting walk never yields: one next() runs it to the end.
-    next(_walk(root_bits, m, n, lo, hi, leaf_ecrit, tally, False), None)
-    tally[0][n] = sum(tally[2])
-    return tally
+def _counts(root_bits: int, m: int, n: int, leaf_ecrit: bool, d: int | None = None) -> Tally:
+    """(nodes, ecrit, hist) of the subtree under a 1-prefix-normal root of
+    length m <= n: nodes and critical nodes per depth (ecrit[n] only with
+    leaf_ecrit) and the leaf density histogram, in one process. Given d,
+    only hist[d] is asked for: the walk keeps to nodes that can still reach
+    it, and no completion adds more than d ones.
 
+    The tree is walked from the root to depth m0 (see the module
+    docstring); each node there adds the memoised tally of its key. A
+    tally packs counts in fields of width bits, which hold any count under
+    the root: nodes per relative depth, then ecrit from bit top on, and,
+    in a second int, leaves per ones added.
+    """
+    if n == 0:
+        return [1], [0], [1]
+    m0 = max(m, n // 2 + 1)
+    free = n - m0
+    # A key holds counts up to free + 1, one byte each.
+    check_scale("completion length", free, COMPLETION_GUARD, False)
+    nodes, ecrit = [0] * (n + 1), [0] * (n + 1)
+    lo, hi = (0, n) if d is None else (d, d)
+    roots = [root_bits] if m == m0 else _walk(root_bits, m, m0, lo - free, hi, nodes, ecrit)
+    width = n - m + 1
+    top = (free + 1) * width
+    # Only the leaves' own append-one test reads entry k + 1 of a key.
+    extra = 1 if leaf_ecrit else 0
+    memo: dict[bytes, tuple[int, int]] = {}
 
-def _fan_out(root_bits: int, m: int, n: int, lo: int, hi: int, leaf_ecrit: bool, threads: int | None) -> Tally:
-    """The tally of the subtree under any root (see _walk), forked into one
-    task per node at DEFAULT_SPLIT_DEPTH when the root lies above it, more
-    than one worker is available and the window leaves enough work."""
-    workers = resolve_threads(threads)
-    split_depth = DEFAULT_SPLIT_DEPTH
-    depth = n - split_depth
-    fork = workers > 1 and m < split_depth and depth > 1
-    if fork:
-        # The shallow walk keeps the roots that can still reach the window:
-        # a root at split_depth may gain up to depth more ones.
-        shallow = _new_tally(split_depth)
-        roots = list(_walk(root_bits, m, split_depth, max(0, lo - depth), hi, False, shallow, True))
-        # Starting a pool costs tens of milliseconds, which a walk bounded by
-        # fewer than _FORK_MIN_LEAVES leaves does not repay at two workers:
-        # such a walk stays here. The leaves under a root with t ones are
-        # bounded by the ways of placing lo - t .. hi - t more ones below it.
-        reach = [
-            sum(math.comb(depth, k) for k in range(max(0, lo - t), min(hi - t, depth) + 1))
-            for t in range(split_depth + 1)
-        ]
-        fork = sum(reach[bits.bit_count()] for bits in roots) >= _FORK_MIN_LEAVES
-    if not fork:
-        return _walk_counts(root_bits, m, n, lo, hi, leaf_ecrit)
-    pad = [0] * (depth + 1)
-    tally = (shallow[0][:split_depth] + pad, shallow[1][:split_depth] + pad, [0] * (n + 1))
-    chunk = max(1, len(roots) // (workers * 8))
-    tasks = (roots, repeat(split_depth), repeat(n), repeat(lo), repeat(hi), repeat(leaf_ecrit))
-    from concurrent.futures import ProcessPoolExecutor  # only a forking walk loads it
+    def completions(key: bytes) -> tuple[int, int]:
+        # key is the caps then P, each k + extra bytes for k symbols to add.
+        got = memo.get(key)
+        if got is None:
+            k = len(key) // 2 - extra
+            if k == 0:
+                return (1 if not extra or key[0] else 1 + (1 << top)), 1
+            here = 1 if key[0] else 1 + (1 << top)
+            caps, p = key[1 : k + extra], key[k + extra : -1]
+            below, hist = completions(bytes(map(min, caps, p)) + p)
+            if key[0]:
+                one_below, one_hist = completions(bytes(map(min, caps.translate(_DECREMENT), p)) + p)
+                below += one_below
+                hist += one_hist << width
+            got = memo[key] = here + (below << width), hist
+        return got
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for sub in pool.map(_walk_counts, *tasks, chunksize=chunk):
-            tally = tuple(list(map(add, total, part)) for total, part in zip(tally, sub))
-    return tally
+    # Leaves are binned by the ones they add to the root's t0.
+    t0 = root_bits.bit_count()
+    below = hist = 0
+    for bits in roots:
+        t = bits.bit_count()
+        if not lo - free <= t <= hi:
+            continue
+        p = BinaryWord(bits, m0).prefix_counts(1)
+        # A density count caps u's prefixes at the hi - t ones its leaves may
+        # add; the extra entry looks one symbol past n and is not capped.
+        caps = bytes(
+            min(min(map(add, p[j + 1 : m0 + 1], p[m0 - 1 : j - 1 : -1]), default=t + p[j]) - t, hi - t + extra)
+            for j in range(1, free + 1 + extra)
+        )
+        counts, leaves = completions(caps + bytes(p[1 : free + 1 + extra]))
+        below += counts
+        hist += leaves << (t - t0) * width
+    mask = (1 << width) - 1
+    for r in range(free + 1):
+        nodes[m0 + r] = below >> r * width & mask
+        ecrit[m0 + r] = below >> top + r * width & mask
+    added = [hist >> a * width & mask for a in range(n - m + 1)]
+    return nodes, ecrit, [0] * t0 + added + [0] * (m - t0)
 
 
 class Census(NamedTuple):
-    """Per-length counts from one walk to depth n.
+    """Per-length counts of the tree of 1-prefix-normal words to depth n.
 
     pnw[m] counts the 1-prefix-normal words of length m; ecrit[m] counts
     those whose 1-extension leaves the language. ecrit[n] is only
@@ -245,9 +242,9 @@ def census(
     unsafe_large: bool = False,
 ) -> Census:
     """Count 1-prefix-normal words (and critical words) for every length
-    up to n in a single walk, forked across subtrees when threads > 1."""
+    up to n, in one process; threads is accepted and changes nothing."""
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
-    nodes, ecrit, hist = _fan_out(0, 0, n, 0, n, include_leaf_ecrit, threads)
+    nodes, ecrit, hist = _counts(0, 0, n, include_leaf_ecrit)
     return Census(n, tuple(nodes), tuple(ecrit), tuple(hist))
 
 
@@ -267,7 +264,7 @@ def enumerate_pn(n: int, x: int = 1, *, unsafe_large: bool = False) -> Iterator[
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     # The 0-prefix-normal words are the complements of the 1-prefix-normal ones.
     flip = 0 if x == 1 else (1 << n) - 1
-    for bits in _walk(0, 0, n, 0, n, False, _new_tally(n), True):
+    for bits in _walk(0, 0, n, 0, n, [0] * (n + 1), [0] * (n + 1)):
         yield BinaryWord(bits ^ flip, n)
 
 
@@ -282,12 +279,11 @@ def count_ecrit(n: int, *, unsafe_large: bool = False) -> int:
 
 
 def count_pnw_density(n: int, d: int, *, unsafe_large: bool = False) -> int:
-    """pnw(n, d): 1-prefix-normal words of length n with exactly d ones,
-    forked like census."""
+    """pnw(n, d): 1-prefix-normal words of length n with exactly d ones."""
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     if not 0 <= d <= n:
         raise ValueError(f"density {d} out of range 0..{n}")
-    return _fan_out(0, 0, n, d, d, False, None)[2][d]
+    return _counts(0, 0, n, False, d)[2][d]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +393,7 @@ def ext_count(
     unsafe_large: bool = False,
 ) -> int:
     """Number of length-m words u such that w u is 1-prefix-normal
-    (restricted to total density d when given), forked like census."""
+    (restricted to total density d when given)."""
     if m < 0:
         raise ValueError("extension length must be non-negative")
     total_len = len(w) + m
@@ -406,9 +402,10 @@ def ext_count(
         raise ContractError("ext_count requires a 1-prefix-normal base word")
     if d is not None and d < 0:
         raise ValueError("density must be non-negative")
-    # A window no leaf can reach (d > total_len) ends the walk at its root.
-    lo, hi = (0, total_len) if d is None else (d, d)
-    return sum(_fan_out(w.packed, len(w), total_len, lo, hi, False, None)[2])
+    hist = _counts(w.packed, len(w), total_len, False, d)[2]
+    if d is None:
+        return sum(hist)
+    return hist[d] if d <= total_len else 0
 
 
 def ext_bijection_check(n: int, d: int, *, unsafe_large: bool = False) -> bool:

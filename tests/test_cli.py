@@ -903,8 +903,8 @@ class TestStartup:
         ).stdout
 
     def test_cli_import_loads_no_unused_stdlib(self):
-        # Every command pays for what importing the CLI loads; the process
-        # pool is loaded only by a forking walk, json only by JSON output.
+        # Every command pays for what importing the CLI loads; no command
+        # starts a process pool, and json is loaded only by JSON output.
         added = self._python(
             "-c",
             "import sys; bare = set(sys.modules); import pnfkit.cli; "
@@ -916,3 +916,23 @@ class TestStartup:
 
     def test_module_entry_point(self):
         assert self._python("-m", "pnfkit.cli", "pnf", "1") == "PNF1=1\n"
+
+    @pytest.mark.parametrize("n, lines_read", [(20, 1), (8, 0)])
+    def test_reader_closing_stdout_early_is_not_an_error(self, n, lines_read):
+        # enum 20 writes about 1.8 MB, far past a pipe's buffer, so it is still
+        # writing when the reader closes after one line. enum 8 fits in the
+        # stream's own buffer, so only its flush meets the closed pipe.
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(pnfkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pnfkit.cli", "enum", str(n)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == b"1" * n + b"\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""

@@ -50,10 +50,10 @@ def fibonacci(n):
     return a
 
 
-def record_pools(monkeypatch, executor=concurrent.futures.ProcessPoolExecutor):
-    """Start every pool a walk forks into as an executor of this kind; the
-    list returned collects the options each pool was started with."""
+def record_pools(monkeypatch):
+    """Record the options of every process pool started from here on."""
     pools = []
+    executor = concurrent.futures.ProcessPoolExecutor
 
     def pool(**options):
         pools.append(options)
@@ -141,20 +141,6 @@ class TestCounts:
         for n in range(1, 17):
             assert c.pnw[n] == 2 * c.pnw[n - 1] - c.ecrit[n - 1]
 
-    def test_parallel_census_equals_serial(self, monkeypatch):
-        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
-        serial = census(15, include_leaf_ecrit=True, threads=1)
-        forked = census(15, include_leaf_ecrit=True, threads=2)
-        assert serial == forked
-
-    def test_split_depth_invariance(self, monkeypatch):
-        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
-        base = census(14, include_leaf_ecrit=True, threads=1)
-        for split in (2, 5, 9):
-            monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
-            forked = census(14, include_leaf_ecrit=True, threads=2)
-            assert forked == base, split
-
     def test_threads_env_caps_default(self, monkeypatch):
         monkeypatch.setenv("PNFKIT_THREADS", "1")
         assert resolve_threads() == 1
@@ -214,43 +200,77 @@ class TestWalkKernel:
             for d in range(n + 2):
                 assert ext_count(w, m, d) == count_density_oracle(prefix, n, d), (n, d)
 
-    @pytest.mark.parametrize("split", [2, 5, 9])
-    def test_forked_ext_count_from_roots(self, monkeypatch, split):
-        # Every root above the split depth forks, on a one-CPU runner too.
-        monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
-        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
-        monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 2)
-        roots = [(parse_word(root), range(len(root), 18)) for root in ("1", "10", "110", "1101")]
-        forking = [n for w, lengths in roots for n in lengths if len(w) < split and n > split + 1]
-        # The unrestricted counts cross real processes. The density sweep
-        # runs the same tasks on threads, which start in microseconds,
-        # where over a thousand process pools would take seconds.
-        pools = record_pools(monkeypatch)
-        for w, lengths in roots:
-            prefix = tuple(w.prefix_counts(1))
-            for n in lengths:
-                assert ext_count(w, n - len(w)) == walk_counts_oracle(prefix, n, False, False)[0][n], (w, n)
-        assert len(pools) == len(forking)
-        pools = record_pools(monkeypatch, concurrent.futures.ThreadPoolExecutor)
-        for w, lengths in roots:
-            prefix = tuple(w.prefix_counts(1))
-            for n in lengths:
-                for d in range(n + 2):
-                    assert ext_count(w, n - len(w), d) == count_density_oracle(prefix, n, d), (w, n, d)
-        assert len(pools) == sum(n + 2 for n in forking)
+    def test_long_normal_root_starts_at_the_root(self, monkeypatch, rng):
+        # A root past the midpoint is the one node the counts start from:
+        # no walk is set up, whose setup alone would hold O(n^2 log n) bits.
+        # A random descent of the tree, taking each allowed 1 with odds 0.7,
+        # leaves a tight word: few of its extensions stay normal.
+        prefix = [0]
+        for m in range(2000):
+            total = prefix[m]
+            one = rng.random() < 0.7 and all(prefix[j] + prefix[m + 1 - j] > total for j in range(1, (m + 1) // 2 + 1))
+            prefix.append(total + one)
+        w = BinaryWord(sum(1 << i for i in range(2000) if prefix[i + 1] > prefix[i]), 2000)
 
-    def test_root_at_or_below_split_depth_walks_in_process(self, monkeypatch):
-        monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", 4)
-        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
-        monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 2)
+        def no_walk(*args):
+            raise AssertionError("a root past the midpoint was walked")
+
+        monkeypatch.setattr(combinatorics, "_walk", no_walk)
+        for m in range(9):
+            n = len(w) + m
+            expected = walk_counts_oracle(prefix, n, False, False)[0][n]
+            assert ext_count(w, m, unsafe_large=True) == expected, m
+        n = len(w) + 8
+        for d in range(prefix[-1] - 1, prefix[-1] + 10):
+            assert ext_count(w, 8, d, unsafe_large=True) == count_density_oracle(prefix, n, d), d
+
+    def test_completion_characterisation(self):
+        # The fact the counts rest on: for 1-prefix-normal w with prefix
+        # counts P and |u| <= |w|, wu is 1-prefix-normal iff u's first j
+        # symbols hold at most e_j ones and each factor of u of length L
+        # at most P(L).
+        for m in range(1, 10):
+            for w in enumerate_pn(m, 1):
+                p = w.prefix_counts(1)
+                caps = [min([p[j]] + [p[i + j] - p[m] + p[m - i] for i in range(1, m - j + 1)]) for j in range(m + 1)]
+                for k in range(min(6, m) + 1):
+                    for u in all_words(k):
+                        q = u.prefix_counts(1)
+                        fits = all(q[j] <= caps[j] for j in range(k + 1)) and all(
+                            q[i + length] - q[i] <= p[length] for length in range(k + 1) for i in range(k - length + 1)
+                        )
+                        assert is_prefix_normal(w + u, 1) == fits, (w, u)
+
+    def test_no_count_starts_a_pool(self, monkeypatch):
         pools = record_pools(monkeypatch)
-        for root in ("1101", "11010", "110101"):
-            w = parse_word(root)
-            prefix = tuple(w.prefix_counts(1))
-            assert ext_count(w, 16 - len(root)) == walk_counts_oracle(prefix, 16, False, False)[0][16], root
+        monkeypatch.setenv("PNFKIT_THREADS", "2")
+        assert census(22, threads=2).pnw[22] == 299947
+        assert count_ecrit(16) == 1139
+        assert count_pnw_density(24, 10) == count_density_oracle((0,), 24, 10)
+        # pnw(24) less the word 0^24, the only one not starting with 1.
+        assert ext_count(parse_word("1"), 23) == 1043212 - 1
         assert pools == []
-        assert ext_count(parse_word("110"), 13) == walk_counts_oracle((0, 1, 2, 2), 16, False, False)[0][16]
-        assert pools == [{"max_workers": 2}]
+
+    def test_pinned_counts_to_30(self):
+        # Frozen from the forked walk these counts replaced.
+        c = census(30, include_leaf_ecrit=True)
+        assert c.pnw[27:] == (6900717, 12910042, 24427486, 45850670)
+        assert c.ecrit[27:] == (891392, 1392598, 3004302, 4731177)
+        assert census(28).by_density == (
+            1, 1, 27, 182, 1089, 4095, 15472, 42151, 114959, 242498, 492420, 805203, 1242046, 1556807,
+            1841034, 1802165, 1647916, 1252958, 881249, 511667, 272570, 118227, 46203, 14291, 3883, 782,
+            131, 14, 1,
+        )
+
+    def test_window_prunes_to_reachable_nodes(self):
+        # With a window only nodes that can still reach it are visited,
+        # and only the leaves inside it are yielded.
+        nodes, ecrit = [0] * 13, [0] * 13
+        leaves = list(combinatorics._walk(0, 0, 12, 5, 7, nodes, ecrit))
+        full = census(12)
+        assert sorted(bits.bit_count() for bits in leaves) == [5] * full.by_density[5] + [6] * full.by_density[6] + [7] * full.by_density[7]
+        assert nodes[0] == 1 and nodes[11] < full.pnw[11]
+        assert list(combinatorics._walk(0b11, 2, 12, 0, 1, nodes, ecrit)) == []
 
     @pytest.mark.parametrize("x", [0, 1])
     def test_enumeration_order(self, x):
@@ -265,42 +285,6 @@ class TestWalkKernel:
                 if w.bit(1) == 1 and can_append_one(w):
                     assert can_append_one(w + parse_word("0")), w
 
-    def test_window_prunes_to_reachable_nodes(self):
-        # With a window only nodes that can still reach it are visited;
-        # the histogram outside the window stays empty.
-        nodes, _, hist = combinatorics._walk_counts(0, 0, 12, 5, 7, False)
-        full = census(12, threads=1).by_density
-        assert hist == [0] * 5 + list(full[5:8]) + [0] * 5
-        assert nodes[12] == sum(full[5:8])
-        assert nodes[0] == 1
-        assert combinatorics._walk_counts(0b11, 2, 12, 0, 1, False) == ([0] * 13,) * 3
-
-    @pytest.mark.parametrize("split", [4, 8, 12])
-    def test_density_fan_out_invariance(self, monkeypatch, split):
-        monkeypatch.setattr(combinatorics, "DEFAULT_SPLIT_DEPTH", split)
-        monkeypatch.setattr(combinatorics, "_FORK_MIN_LEAVES", 0)
-        counts = {}
-        for workers in (2, 1):
-            monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: workers)
-            counts[workers] = [count_pnw_density(15, d) for d in range(16)]
-        assert counts[2] == counts[1]
-
-    def test_fork_only_for_enough_work(self, monkeypatch):
-        # A narrow window, or a shallow tree, walks in-process; a walk
-        # with enough leaves forks.
-        pools = record_pools(monkeypatch)
-        # ext_count and count_pnw_density read the default worker count.
-        monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 2)
-        for d in (2, 5, 24, 27):
-            assert count_pnw_density(28, d) == count_density_oracle((0,), 28, d)
-        assert census(16, threads=2).pnw[16] == 7568
-        assert ext_count(parse_word("10"), 26, 3) == count_density_oracle((0, 1, 1), 28, 3)
-        assert pools == []
-        assert count_pnw_density(24, 10) == count_density_oracle((0,), 24, 10)
-        assert pools == [{"max_workers": 2}]
-        # pnw(24) less the word 0^24, the only one not starting with 1.
-        assert ext_count(parse_word("1"), 23) == 1043212 - 1
-        assert pools == [{"max_workers": 2}] * 2
 
 
 class TestDensityCounts:

@@ -28,7 +28,13 @@ from pnfkit import (
 )
 from pnfkit.cli import main
 from pnfkit.bitword import PROFILE_LENGTH_GUARD
-from pnfkit.combinatorics import CLASS_LISTING_GUARD, CLASS_SCAN_GUARD, ENUM_LENGTH_GUARD, GF_ORDER_GUARD
+from pnfkit.combinatorics import (
+    CLASS_LISTING_GUARD,
+    CLASS_SCAN_GUARD,
+    COMPLETION_GUARD,
+    ENUM_LENGTH_GUARD,
+    GF_ORDER_GUARD,
+)
 from pnfkit.errors import check_scale
 from pnfkit.lyndon import PRENECKLACE_COUNT_GUARD
 from pnfkit.pnf import PARIKH_SET_LENGTH_GUARD
@@ -63,6 +69,8 @@ GUARDS = {
     "parikh_set": (lambda s, **kw: parikh_set(ones(s), **kw), PARIKH_SET_LENGTH_GUARD, True),
     "count_prenecklaces": (count_prenecklaces, PRENECKLACE_COUNT_GUARD, True),
     "expand_gf": (lambda s: expand_gf(2, s), GF_ORDER_GUARD, False),
+    # 1^(s+1) extended by s symbols completes all s below its own length.
+    "completion": (lambda s: ext_count(ones(s + 1), s, unsafe_large=True), COMPLETION_GUARD, False),
 }
 
 
