@@ -41,12 +41,11 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_left
-from collections import Counter
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
-from .bitword import BinaryWord, _check_symbol, _pnf1_bits
+from .bitword import BinaryWord, _check_symbol
 from .errors import ContractError, PnfkitError, check_scale
 from .normality import is_prefix_normal
 
@@ -309,31 +308,54 @@ def class_statistics(
 ) -> ClassStatistics:
     """Group all 2^n words by their 1-prefix-normal form.
 
-    Classes come out ordered by representative, descending
-    lexicographically, matching the walk order of enumerate_pn(n, 1).
-    The scan reads v = 2^n - 1 down to 0 as words with position 1 in
-    the top bit, which is descending lexicographic order; the key is the
-    pnf1 of v's own packing, the reversed word, which has the same pnf1.
-    A class's pnf1 is its lexicographically largest member, since its
-    ones-prefix counts dominate every member's, so the classes enter the
-    dict in output order and each member list comes out sorted.
+    Words share their pnf1 iff they share their maximum-ones profile F,
+    the class key. One depth-first walk of all 2^n words, 1-child first
+    with the leaf level folded as in `_walk`, carries per node the ones
+    of each suffix, S, and F, in W-bit fields (W = bitlen(n) + 1, field
+    k - 1 for length k). Appending 0 shifts S and sets F's new field to
+    the word's ones. Appending 1 also adds one to every field of S, and F
+    rises by one in each field where S exceeds it, read from the guard
+    bits of one add and subtract. A node costs a few operations on n·W-bit
+    ints: O(2^n · n log n) bit operations in all.
+
+    Leaves come in descending lexicographic order, and a class's pnf1 is
+    its largest member, since its ones-prefix counts dominate every
+    member's. So the first leaf of each key is the representative, and
+    classes and member lists come out descending, as enumerate_pn(n, 1).
     """
     check_scale("class scan length", n, CLASS_SCAN_GUARD, unsafe_large)
     if include_listing:
         check_scale("class listing length", n, CLASS_LISTING_GUARD, unsafe_large)
-    words = range((1 << n) - 1, -1, -1)
-    members: dict[int, list[BinaryWord]] = {}
-    if include_listing:
-        for v in words:
-            members.setdefault(_pnf1_bits(v, n), []).append(BinaryWord(v, n).reverse())
-        sizes = {key: len(listed) for key, listed in members.items()}
-    else:
-        sizes = Counter(map(_pnf1_bits, words, repeat(n)))
+    width = n.bit_length() + 1
+    ones = list(accumulate((1 << width * i for i in range(n)), initial=0))
+    high = ones[n] << width - 1
+    low = high - ones[n]
+    # The empty word is the one leaf with no parent to fold it.
+    stack = [(0, 0, 0, 0, 0)] if n else []
+    sizes, reps, members = ({}, [], {}) if n else ({0: 1}, [0], {0: [0]})
+    while stack:
+        m, bits, s, f, t = stack.pop()
+        while m < n - 1:
+            f |= t << width * m
+            s <<= width
+            stack.append((m + 1, bits, s, f, t))
+            bits |= 1 << m
+            m += 1
+            t += 1
+            s += ones[m]
+            f += (s + low - f & high) >> width - 1
+        f |= t << width * m
+        s = (s << width) + ones[n]
+        for key, leaf in ((f + ((s + low - f & high) >> width - 1), bits | 1 << m), (f, bits)):
+            size = sizes.get(key, 0)
+            if not size:
+                reps.append(leaf)
+            sizes[key] = size + 1
+            if include_listing:
+                members.setdefault(key, []).append(leaf)
     classes = tuple(
-        EquivalenceClass(
-            BinaryWord(key, n), size, tuple(members[key]) if include_listing else None
-        )
-        for key, size in sizes.items()
+        EquivalenceClass(BinaryWord(rep, n), size, tuple(BinaryWord(b, n) for b in members[key]) if include_listing else None)
+        for rep, (key, size) in zip(reps, sizes.items())
     )
     return ClassStatistics(
         n=n,

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+from collections import Counter
 
 import pytest
 
@@ -452,6 +453,15 @@ class TestClassStatistics:
         for w in words_up_to(14):
             expected = word_from_steps(window_scan_profile(w, 1), 1)
             assert _pnf1_bits(w.packed, len(w)) == expected.packed
+
+    def test_classes_match_kernel_grouping(self):
+        # The kernel is the oracle for class keys. v = 2^n - 1 .. 0 reads the
+        # words in descending lexicographic order with position 1 in the top
+        # bit; v's own packing is the reversed word, which has the same pnf1.
+        for n in [*range(15), 16]:
+            expected = Counter(_pnf1_bits(v, n) for v in range((1 << n) - 1, -1, -1))
+            got = [(c.representative.packed, c.size) for c in class_statistics(n).classes]
+            assert got == list(expected.items()), n
 
     def test_listing_matches_sorted_grouping(self):
         for n in range(9):
