@@ -196,12 +196,15 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-# A query-batch CSV is read a row at a time, at most this many characters
-# of it: a row that reaches this length is malformed, wherever it starts, and
-# the rest of it is not read. An error quotes at most the first _ROW_ECHO
-# characters of a bad row.
+# A query-batch CSV is read _CSV_BLOCK characters at a time. A row that
+# reaches _ROW_CAP characters is malformed wherever it starts, and the file is
+# read at most one block past that. An error quotes at most the first
+# _ROW_ECHO characters of a bad row. A block of plain rows is answered by one
+# JumbledIndex.query_many call, any other by the row rules of _answer_rows.
+_CSV_BLOCK = 1 << 16
 _ROW_CAP = 64 * 1024
 _ROW_ECHO = 80
+_COUNT_CHARS = str.maketrans("", "", "0123456789 ")
 
 
 def _bad_row(path: str, lineno: int, line: str) -> ValueError:
@@ -226,24 +229,66 @@ def _cmd_index(args) -> int:
         return EXIT_OK
     # query-batch: one "ones,zeros" pair per row, optional header. Every
     # row is answered before any is written, so a bad row leaves stdout empty.
-    rows = []
+    columns = ones, zeros, answers = [], [], []
     # Not UTF-8, under which int() would take digits such as '３'.
     with open(args.csvfile, "r", encoding="ascii", errors="surrogateescape") as fp:
-        for lineno, line in enumerate(iter(partial(fp.readline, _ROW_CAP), ""), start=1):
-            if len(line) == _ROW_CAP and not line.endswith("\n"):
-                raise _bad_row(args.csvfile, lineno, line)
-            line = line.strip()
-            if not line or (lineno == 1 and line.lower().replace(" ", "") == "ones,zeros"):
-                continue
-            try:
-                ones_s, zeros_s = line.split(",")
-                ones, zeros = int(ones_s), int(zeros_s)
-                answer = ix.query(ones=ones, zeros=zeros)
-            except ValueError:
-                raise _bad_row(args.csvfile, lineno, line) from None
-            rows.append((ones, zeros, "yes" if answer else "no"))
-    _emit(args, ["ones", "zeros", "answer"], rows, text_lines=(r[2] for r in rows))
+        # The header candidate takes the row rules: the cap, then the header.
+        _answer_rows(ix, args.csvfile, [fp.readline(_ROW_CAP).removesuffix("\n")], 1, columns)
+        lineno, tail = 2, ""
+        for block in iter(partial(fp.read, _CSV_BLOCK), ""):
+            *rows, tail = (tail + block).split("\n")
+            _answer_block(ix, args.csvfile, rows, lineno, columns)
+            lineno += len(rows)
+            if len(tail) >= _ROW_CAP:
+                raise _bad_row(args.csvfile, lineno, tail)
+        _answer_rows(ix, args.csvfile, [tail], lineno, columns)
+    word = ("no", "yes").__getitem__
+    rows = zip(ones, zeros, map(word, answers))
+    _emit(args, ["ones", "zeros", "answer"], rows, text_lines=map(word, answers))
     return EXIT_OK
+
+
+def _answer_block(ix, path: str, rows: list[str], lineno: int, columns: tuple[list, list, list]) -> None:
+    """Answer rows, the lines of the CSV from lineno on, onto the columns
+    (ones, zeros, answers). Rows of digits and spaces around one comma, each
+    under the cap, are parsed by one json.loads: under that shape JSON's
+    integers are a subset of what int() takes, with the same values, and what
+    JSON refuses (leading zeros, inner spaces, empty fields, the digit limit)
+    goes to _answer_rows. So the row rules would give the same answers."""
+    import json  # only query-batch and JSON output load it
+
+    text = "\n".join(rows)
+    if text.translate(_COUNT_CHARS) == ",\n" * (len(rows) - 1) + "," and max(map(len, rows)) < _ROW_CAP:
+        try:
+            counts = json.loads("[" + text.replace("\n", ",") + "]")
+        except ValueError:
+            pass
+        else:
+            ones, zeros = counts[::2], counts[1::2]
+            for column, part in zip(columns, (ones, zeros, ix.query_many(ones, zeros))):
+                column += part
+            return
+    _answer_rows(ix, path, rows, lineno, columns)
+
+
+def _answer_rows(ix, path: str, rows: list[str], lineno: int, columns: tuple[list, list, list]) -> None:
+    """The row rules: answer each row, or raise _bad_row for the first bad one."""
+    ones, zeros, answers = columns
+    for lineno, line in enumerate(rows, start=lineno):
+        if len(line) >= _ROW_CAP:
+            raise _bad_row(path, lineno, line)
+        line = line.strip()
+        if not line or (lineno == 1 and line.lower().replace(" ", "") == "ones,zeros"):
+            continue
+        try:
+            ones_s, zeros_s = line.split(",")
+            o, z = int(ones_s), int(zeros_s)
+            answer = ix.query(ones=o, zeros=z)
+        except ValueError:
+            raise _bad_row(path, lineno, line) from None
+        ones.append(o)
+        zeros.append(z)
+        answers.append(answer)
 
 
 def _cmd_enum(args) -> int:

@@ -5,15 +5,15 @@ of ones and zeros. Storing, per factor length k, the maximum and
 minimum ones-counts answers that in constant time. Those two arrays are
 the ones-prefix counts of the word's two normal forms, so the index is
 the pair of forms plus their prefix counts, two tuples of n + 1 counts
-derived once in O(n).
+derived once in O(n). JumbledIndex.query_many is the lookup for a batch.
 """
 
 from __future__ import annotations
 
 import io
 from binascii import crc32
-from operator import gt
-from typing import BinaryIO, NamedTuple
+from operator import add, gt
+from typing import BinaryIO, NamedTuple, Sequence
 
 from .bitword import BinaryWord
 from .errors import IndexFormatError
@@ -43,9 +43,14 @@ class JumbledIndex(NamedTuple):
         """
         _check_counts(ones, zeros)
         k = ones + zeros
-        if k > self.n:
-            return False
-        return self.fmin[k] <= ones <= self.fmax[k]
+        return k <= self.n and self.fmin[k] <= ones <= self.fmax[k]
+
+    def query_many(self, ones: Sequence[int], zeros: Sequence[int]) -> list[bool]:
+        """query on each pair (ones[i], zeros[i]). The comprehension repeats
+        query's comparison: a call of query per pair costs more than it."""
+        _check_counts(min(ones, default=0), min(zeros, default=0))
+        n, fmin, fmax = self.n, self.fmin, self.fmax
+        return [k <= n and fmin[k] <= o <= fmax[k] for o, k in zip(ones, map(add, ones, zeros), strict=True)]
 
     # fmax[k] and fmin[k] are rank(1, k) on the two forms, so the rank
     # lookup is the same lookup.

@@ -535,6 +535,144 @@ class TestIndex:
         assert code == 0 and out == f"indexed 7 symbols -> {ixfile}\n"
 
 
+# Rows that query-batch answers, and rows it refuses, mixed with plain rows
+# below: padding and characters that strip() removes, what int() takes but
+# JSON does not, counts past 2^63, and header variants.
+GOOD_ROWS = [
+    "", "   ", "\t", "\x0c", "\x1c", "\t3,2", "3\t,2", "3,2\t", "\x0c3,2\x1c", "3,\x0c2", "3\x0b,2", " 3 , 2 ", "3 ,2",
+    "1_0,2", "3,1_0", "+3,2", "3,+2", "-0,0", "007,2", "0,00", "1" * 30 + ",2", "2," + "9" * 29, "1" * 4300 + ",0",
+]
+BAD_ROWS = [
+    "-1,2", "3,-1", "3,\x1c2", "1 2,3", "3,2 1", "3,\udcc3\udca9", "3", ",2", "3,", ",", "3,2,1", "0x10,2",
+    "1e3,2", "1.0,2", "1" * 4301 + ",0", "ones,zeros", "ones;zeros",
+]
+HEADERS = ["", "ones,zeros", " Ones , Zeros\t", "ONES,ZEROS", "ones;zeros"]
+PLAIN_ROWS = ["3,2", "0,3", "4,0", "1,1", "12,34", "0,0", "7,0", "2,2"]
+
+
+class TestQueryBatchBlocks:
+    """query-batch parses a whole block at once when every row in it is
+    digits and spaces around one comma, and sends any other block through
+    the row rules: stdout, stderr and exit code must be those of the row
+    rules alone, in every format, wherever the blocks end."""
+
+    @pytest.fixture
+    def ixfile(self, capsys, tmp_path):
+        wordfile = tmp_path / "word.txt"
+        wordfile.write_text("1001101\n")
+        ixfile = tmp_path / "word.pnfix"
+        run(capsys, "index", "build", str(wordfile), "-o", str(ixfile))
+        return ixfile
+
+    def assert_same(self, capsys, monkeypatch, block, ixfile, queries):
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        argv = ["index", "query-batch", str(ixfile), str(queries)]
+        blocks = [run(capsys, "--format", fmt, *argv) for fmt in ("text", "csv", "json")]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_answer_block", cli._answer_rows)
+            rows = [run(capsys, "--format", fmt, *argv) for fmt in ("text", "csv", "json")]
+        assert blocks == rows
+        return blocks[0]
+
+    def csv(self, tmp_path, lines, newline):
+        queries = tmp_path / "queries.csv"
+        queries.write_bytes(newline.join(lines).encode("ascii", "surrogateescape"))
+        return queries
+
+    @pytest.mark.parametrize("block", [7, 64, 8191, cli._CSV_BLOCK])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_edge_rows_answer_as_the_row_rules_do(self, capsys, monkeypatch, tmp_path, ixfile, block, newline):
+        rng = random.Random(block)
+
+        def plain():
+            return rng.sample(PLAIN_ROWS, rng.randint(1, 4))
+
+        # The first row ends its "\r\n" across the decoder's 8192-byte reads.
+        lines = [" " * 8188 + "3,2"] + [row for good in GOOD_ROWS for row in (*plain(), good)] + plain()
+        code, out, err = self.assert_same(capsys, monkeypatch, block, ixfile, self.csv(tmp_path, lines, newline))
+        assert (code, err, out.count("\n")) == (0, "", sum(bool(line.strip()) for line in lines))
+        for head in HEADERS:
+            lines = [head, *plain(), "", *plain()]
+            code, _, err = self.assert_same(capsys, monkeypatch, block, ixfile, self.csv(tmp_path, lines, newline))
+            assert code == (2 if head == "ones;zeros" else 0)
+        for bad in BAD_ROWS:
+            head = plain()
+            lines = [*head, bad, *plain(), ""]
+            code, out, err = self.assert_same(capsys, monkeypatch, block, ixfile, self.csv(tmp_path, lines, newline))
+            assert (code, out) == (2, "") and f":{len(head) + 1}: expected" in err
+
+    @pytest.mark.parametrize("block", [4096, 8191, cli._CSV_BLOCK, 1 << 20])
+    @pytest.mark.parametrize(
+        "first, lineno",
+        [
+            (" " * (_ROW_CAP - 11) + "ones,zeros", None),
+            (" " * (_ROW_CAP - 10) + "ones,zeros", 1),
+            (" " * (_ROW_CAP - 4) + "1,2", None),
+            ("1,2" + " " * (_ROW_CAP - 3), 1),
+            ("9" * (_ROW_CAP + 5), 1),
+            ("ones,zeros\n" + "3,2\n" * 5000 + " " * (_ROW_CAP - 3) + "1,2", 5002),
+            ("3,2\n" * 5000 + "1," + "x" * _ROW_CAP, 5001),
+        ],
+        ids=[
+            "header-under-cap", "header-at-cap", "row-under-cap", "row-at-cap", "past-cap", "late-at-cap",
+            "late-past-cap",
+        ],
+    )
+    def test_long_rows_across_blocks(self, capsys, monkeypatch, tmp_path, ixfile, block, first, lineno):
+        # Rows that start in one block and end in a later one: the cap, then
+        # the header rule, hold as for a row read whole.
+        queries = self.csv(tmp_path, [first, "0,3", ""], "\n")
+        code, out, err = self.assert_same(capsys, monkeypatch, block, ixfile, queries)
+        if lineno is None:
+            assert (code, err) == (0, "") and out.endswith("no\n")
+        else:
+            assert (code, out) == (2, "") and f":{lineno}: expected" in err and len(err) < 1024
+
+    def test_long_row_read_to_one_block_past_the_cap(self, capsys, monkeypatch, tmp_path, ixfile):
+        logs = []
+
+        def logged(*args, **kwargs):
+            logs.append(ReadLog(open(*args, **kwargs)))
+            return logs[-1]
+
+        monkeypatch.setattr(cli, "open", logged, raising=False)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)
+        queries = self.csv(tmp_path, ["3,2", "9" * 1_000_000, ""], "\n")
+        code, out, err = run(capsys, "index", "query-batch", str(ixfile), str(queries))
+        assert (code, out) == (2, "") and ":2: expected" in err
+        assert sum(logs[-1].sizes) <= _ROW_CAP + 2 * 4096
+
+    def test_plain_rows_skip_the_row_rules(self, capsys, monkeypatch, tmp_path, ixfile):
+        # Only the header candidate goes through the row rules.
+        seen = []
+        rules = cli._answer_rows
+
+        def logged(ix, path, rows, *rest):
+            seen.extend(rows)
+            return rules(ix, path, rows, *rest)
+
+        monkeypatch.setattr(cli, "_answer_rows", logged)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)
+        queries = self.csv(tmp_path, ["ones,zeros", *PLAIN_ROWS * 1000, ""], "\n")
+        code, out, _ = run(capsys, "index", "query-batch", str(ixfile), str(queries))
+        assert (code, out.count("\n")) == (0, 8000)
+        assert [row for row in seen if row] == ["ones,zeros"]
+
+    def test_count_past_two_to_the_63_answers_no(self, capsys, ixfile, tmp_path):
+        huge = "1" * 29
+        queries = self.csv(tmp_path, ["3,2", f"{huge},0", f"0,{huge}", ""], "\n")
+        argv = ["index", "query-batch", str(ixfile), str(queries)]
+        assert run(capsys, *argv) == (0, "yes\nno\nno\n", "")
+        csv_out = f"ones,zeros,answer\n3,2,yes\n{huge},0,no\n0,{huge},no\n"
+        assert run(capsys, "--format", "csv", *argv) == (0, csv_out, "")
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        assert code == 0 and json.loads(out) == [
+            {"ones": 3, "zeros": 2, "answer": "yes"},
+            {"ones": int(huge), "zeros": 0, "answer": "no"},
+            {"ones": 0, "zeros": int(huge), "answer": "no"},
+        ]
+
+
 class Recorder(io.StringIO):
     """A stdout that counts its write calls."""
 
@@ -904,7 +1042,8 @@ class TestStartup:
 
     def test_cli_import_loads_no_unused_stdlib(self):
         # Every command pays for what importing the CLI loads; no command
-        # starts a process pool, and json is loaded only by JSON output.
+        # starts a process pool, and json is loaded only by JSON output and
+        # query-batch.
         added = self._python(
             "-c",
             "import sys; bare = set(sys.modules); import pnfkit.cli; "

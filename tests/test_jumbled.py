@@ -112,6 +112,28 @@ class TestQueries:
                         expected = (ones, total - ones) in occurs
                         assert ix.query(ones=ones, zeros=total - ones) == expected
 
+    def test_query_many_matches_query_and_oracle(self):
+        # Every word of length <= 10, every total up to two past the word.
+        for n in range(11):
+            for w in all_words(n):
+                ix = build_index(w)
+                pairs = [(ones, total - ones) for total in range(n + 3) for ones in range(total + 1)]
+                ones, zeros = [p[0] for p in pairs], [p[1] for p in pairs]
+                expected = [query_bruteforce(w, ones=o, zeros=z) for o, z in pairs]
+                assert ix.query_many(ones, zeros) == expected
+                assert [ix.query(ones=o, zeros=z) for o, z in pairs] == expected
+
+    @pytest.mark.parametrize("ones, zeros", [([1, -1], [0, 0]), ([0], [-3]), ([1, 2], [0])])
+    def test_query_many_rejects_bad_batches(self, ones, zeros):
+        ix = build_index(parse_word("101"))
+        with pytest.raises(ValueError):
+            ix.query_many(ones, zeros)
+
+    def test_query_many_empty_and_huge(self):
+        ix = build_index(parse_word("101"))
+        assert ix.query_many([], []) == []
+        assert ix.query_many([10**28, 0], [0, 10**28]) == [False, False]
+
     def test_query_via_rank_is_query(self):
         # One lookup under two names, so checking query checks both.
         assert JumbledIndex.query_via_rank is JumbledIndex.query
