@@ -3,7 +3,9 @@
 The word listing, and every count from its root down to the midpoint,
 run one iterative depth-first walk, `_walk`, of the prefix-closed tree
 of 1-prefix-normal words: appending 0 always stays in the language,
-appending 1 is gated by the append-one test. Below the midpoint a count
+appending 1 is gated by the append-one test. So pnw(m+1) = 2 pnw(m) -
+ecrit(m), where ecrit(m) counts the words that cannot take a 1: counts
+count words only, and read ecrit off them. Below the midpoint a count
 reads memoised completion tallies instead of walking (`_counts`).
 
 Append-one test. For a word w of length m with ones-prefix counts P,
@@ -28,12 +30,11 @@ first j symbols of u hold at most e_j ones and (b) every factor of u of
 length L holds at most P(L) ones, where e_j is P(j) capped by
 min over 1 <= i <= m-j of P(i+j) - P(m) + P(m-i). (a) covers the factors
 that cross from w into u; a crossing factor longer than m reduces to
-(b). So the subtree under w to depth m + k depends only on the key
-(e_1..e_k, P(1..k)), and with the leaves' own append-one test (for
-ecrit(n)) on entry k + 1 as well. Appending b gives a child the caps
+(b). So the subtree under w to depth m + k depends only on the key of
+2k bytes (e_1..e_k, P(1..k)). Appending b gives a child the caps
 min(e_{j+1} - b, P(j)) and drops the last P; appending 1 needs e_1 >= 1.
-A count walks to depth m0 = max(m, n//2 + 1), where k = n - m0 < m0, and
-adds one memoised tally per node there, in one process.
+A count walks to depth m0 = max(m, ceil(n/2)), where k = n - m0 <= m0 as
+the fact needs, and adds one memoised tally per node there, in one process.
 """
 
 from __future__ import annotations
@@ -79,21 +80,18 @@ def resolve_threads(threads: int | None = None) -> int:
 # Core walk
 # ---------------------------------------------------------------------------
 
-Tally = tuple[list[int], list[int], list[int]]
-
 # Each byte b -> b - 1; applied only to caps that are all at least 1.
 _DECREMENT = bytes([0, *range(255)])
 
 
-def _walk(root_bits: int, m: int, n: int, lo: int, hi: int, nodes: list[int], ecrit: list[int]) -> Iterator[int]:
+def _walk(root_bits: int, m: int, n: int, lo: int, hi: int, nodes: list[int]) -> Iterator[int]:
     """Yield every leaf at depth n with lo..hi ones under a 1-prefix-normal
     root, packed.
 
     The root is the word of length m <= n packed in root_bits (position
     i at bit i - 1). Only nodes that can still reach such a leaf are
-    visited. Leaves come 1-child first, so in descending lexicographic
-    order. For each inner node visited the walk adds one to nodes at its
-    depth, and one to ecrit when it cannot take a 1.
+    visited, each inner one adding one to nodes at its depth. Leaves come
+    1-child first, so in descending lexicographic order.
     """
     t = root_bits.bit_count()
     if t > hi or t + n - m < lo:
@@ -124,8 +122,6 @@ def _walk(root_bits: int, m: int, n: int, lo: int, hi: int, nodes: list[int], ec
         nodes[m] += 1
         if not ok:
             ok = slack & tops[m] == tops[m]
-            if not ok:
-                ecrit[m] += 1
         slack <<= width
         if m == last:
             if ok and t < hi:
@@ -148,49 +144,44 @@ def _walk(root_bits: int, m: int, n: int, lo: int, hi: int, nodes: list[int], ec
         m, t, slack, word, ok, bits = stack.pop()
 
 
-def _counts(root_bits: int, m: int, n: int, leaf_ecrit: bool, d: int | None = None) -> Tally:
-    """(nodes, ecrit, hist) of the subtree under a 1-prefix-normal root of
-    length m <= n: nodes and critical nodes per depth (ecrit[n] only with
-    leaf_ecrit) and the leaf density histogram, in one process. Given d,
-    only hist[d] is asked for: the walk keeps to nodes that can still reach
-    it, and no completion adds more than d ones.
+def _counts(root_bits: int, m: int, n: int, d: int | None = None) -> tuple[list[int], list[int]]:
+    """(nodes, hist) of the subtree under a 1-prefix-normal root of length
+    m <= n: nodes per depth and the leaf density histogram, in one process.
+    Given d, only hist[d] is asked for: the walk keeps to nodes that can
+    still reach it, and no completion adds more than d ones.
 
     The tree is walked from the root to depth m0 (see the module
     docstring); each node there adds the memoised tally of its key. A
     tally packs counts in fields of width bits, which hold any count under
-    the root: nodes per relative depth, then ecrit from bit top on, and,
-    in a second int, leaves per ones added.
+    the root: nodes per relative depth and, in a second int, leaves per
+    ones added.
     """
     if n == 0:
-        return [1], [0], [1]
-    m0 = max(m, n // 2 + 1)
+        return [1], [1]
+    m0 = max(m, (n + 1) // 2)
     free = n - m0
-    # A key holds counts up to free + 1, one byte each.
+    # A key holds counts up to free, one byte each.
     check_scale("completion length", free, COMPLETION_GUARD, False)
-    nodes, ecrit = [0] * (n + 1), [0] * (n + 1)
+    nodes = [0] * (n + 1)
     lo, hi = (0, n) if d is None else (d, d)
-    roots = [root_bits] if m == m0 else _walk(root_bits, m, m0, lo - free, hi, nodes, ecrit)
+    roots = [root_bits] if m == m0 else _walk(root_bits, m, m0, lo - free, hi, nodes)
     width = n - m + 1
-    top = (free + 1) * width
-    # Only the leaves' own append-one test reads entry k + 1 of a key.
-    extra = 1 if leaf_ecrit else 0
     memo: dict[bytes, tuple[int, int]] = {}
 
     def completions(key: bytes) -> tuple[int, int]:
-        # key is the caps then P, each k + extra bytes for k symbols to add.
+        # key is the caps then P, k bytes each for k symbols to add.
         got = memo.get(key)
         if got is None:
-            k = len(key) // 2 - extra
+            k = len(key) // 2
             if k == 0:
-                return (1 if not extra or key[0] else 1 + (1 << top)), 1
-            here = 1 if key[0] else 1 + (1 << top)
-            caps, p = key[1 : k + extra], key[k + extra : -1]
+                return 1, 1
+            caps, p = key[1:k], key[k:-1]
             below, hist = completions(bytes(map(min, caps, p)) + p)
             if key[0]:
                 one_below, one_hist = completions(bytes(map(min, caps.translate(_DECREMENT), p)) + p)
                 below += one_below
                 hist += one_hist << width
-            got = memo[key] = here + (below << width), hist
+            got = memo[key] = 1 + (below << width), hist
         return got
 
     # Leaves are binned by the ones they add to the root's t0.
@@ -201,29 +192,26 @@ def _counts(root_bits: int, m: int, n: int, leaf_ecrit: bool, d: int | None = No
         if not lo - free <= t <= hi:
             continue
         p = BinaryWord(bits, m0).prefix_counts(1)
-        # A density count caps u's prefixes at the hi - t ones its leaves may
-        # add; the extra entry looks one symbol past n and is not capped.
+        # A density count caps u's prefixes at the hi - t ones its leaves may add.
         caps = bytes(
-            min(min(map(add, p[j + 1 : m0 + 1], p[m0 - 1 : j - 1 : -1]), default=t + p[j]) - t, hi - t + extra)
-            for j in range(1, free + 1 + extra)
+            min(min(map(add, p[j + 1 : m0 + 1], p[m0 - 1 : j - 1 : -1]), default=t + p[j]) - t, hi - t)
+            for j in range(1, free + 1)
         )
-        counts, leaves = completions(caps + bytes(p[1 : free + 1 + extra]))
+        counts, leaves = completions(caps + bytes(p[1 : free + 1]))
         below += counts
         hist += leaves << (t - t0) * width
     mask = (1 << width) - 1
-    for r in range(free + 1):
-        nodes[m0 + r] = below >> r * width & mask
-        ecrit[m0 + r] = below >> top + r * width & mask
+    nodes[m0:] = [below >> r * width & mask for r in range(free + 1)]
     added = [hist >> a * width & mask for a in range(n - m + 1)]
-    return nodes, ecrit, [0] * t0 + added + [0] * (m - t0)
+    return nodes, [0] * t0 + added + [0] * (m - t0)
 
 
 class Census(NamedTuple):
     """Per-length counts of the tree of 1-prefix-normal words to depth n.
 
     pnw[m] counts the 1-prefix-normal words of length m; ecrit[m] counts
-    those whose 1-extension leaves the language. ecrit[n] is only
-    meaningful when the census was taken with include_leaf_ecrit.
+    those whose 1-extension leaves the language. ecrit[n] needs a count at
+    n + 1, so it is 0 unless the census was taken with include_leaf_ecrit.
     by_density[d] counts those of length n with d ones.
     """
 
@@ -241,10 +229,14 @@ def census(
     unsafe_large: bool = False,
 ) -> Census:
     """Count 1-prefix-normal words (and critical words) for every length
-    up to n, in one process; threads is accepted and changes nothing."""
+    up to n, in one process; threads is accepted and changes nothing. Every
+    0-extension of a prefix normal word is prefix normal, so a word that can
+    take a 1 has two children and any other one: ecrit[m] = 2 pnw[m] - pnw[m + 1]."""
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
-    nodes, ecrit, hist = _counts(0, 0, n, include_leaf_ecrit)
-    return Census(n, tuple(nodes), tuple(ecrit), tuple(hist))
+    pnw, hist = _counts(0, 0, n)
+    ecrit = [2 * a - b for a, b in zip(pnw, pnw[1:])]
+    ecrit.append(2 * pnw[n] - _counts(0, 0, n + 1)[0][n + 1] if include_leaf_ecrit else 0)
+    return Census(n, tuple(pnw), tuple(ecrit), tuple(hist))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +255,7 @@ def enumerate_pn(n: int, x: int = 1, *, unsafe_large: bool = False) -> Iterator[
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     # The 0-prefix-normal words are the complements of the 1-prefix-normal ones.
     flip = 0 if x == 1 else (1 << n) - 1
-    for bits in _walk(0, 0, n, 0, n, [0] * (n + 1), [0] * (n + 1)):
+    for bits in _walk(0, 0, n, 0, n, [0] * (n + 1)):
         yield BinaryWord(bits ^ flip, n)
 
 
@@ -273,8 +265,10 @@ def count_pnw(n: int, *, unsafe_large: bool = False) -> int:
 
 
 def count_ecrit(n: int, *, unsafe_large: bool = False) -> int:
-    """ecrit(n): 1-prefix-normal words of length n that cannot take a 1."""
-    return census(n, include_leaf_ecrit=True, unsafe_large=unsafe_large).ecrit[n]
+    """ecrit(n) = 2 pnw(n) - pnw(n + 1): words of length n that cannot take a 1."""
+    check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
+    pnw = _counts(0, 0, n + 1)[0]
+    return 2 * pnw[n] - pnw[n + 1]
 
 
 def count_pnw_density(n: int, d: int, *, unsafe_large: bool = False) -> int:
@@ -282,7 +276,7 @@ def count_pnw_density(n: int, d: int, *, unsafe_large: bool = False) -> int:
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     if not 0 <= d <= n:
         raise ValueError(f"density {d} out of range 0..{n}")
-    return _counts(0, 0, n, False, d)[2][d]
+    return _counts(0, 0, n, d)[1][d]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +418,7 @@ def ext_count(
         raise ContractError("ext_count requires a 1-prefix-normal base word")
     if d is not None and d < 0:
         raise ValueError("density must be non-negative")
-    hist = _counts(w.packed, len(w), total_len, False, d)[2]
+    hist = _counts(w.packed, len(w), total_len, d)[1]
     if d is None:
         return sum(hist)
     return hist[d] if d <= total_len else 0
@@ -578,13 +572,15 @@ class RatioRow(NamedTuple):
 
 def ratio_series(max_n: int, *, unsafe_large: bool = False) -> list[RatioRow]:
     """Plot-data rows: pnw(n)/pnw(n-1), ecrit(n)/pnw(n) and the latter
-    rescaled by n/ln n (NaN at n = 1 where ln n vanishes)."""
+    rescaled by n/ln n (NaN at n = 1 where ln n vanishes). One count to
+    depth max_n + 1 gives every ecrit(n) = 2 pnw(n) - pnw(n + 1)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    c = census(max_n, include_leaf_ecrit=True, unsafe_large=unsafe_large)
+    check_scale("enumeration length", max_n, ENUM_LENGTH_GUARD, unsafe_large)
+    pnw = _counts(0, 0, max_n + 1)[0]
     rows = []
     for n in range(1, max_n + 1):
-        ecrit_ratio = c.ecrit[n] / c.pnw[n]
+        ecrit_ratio = (2 * pnw[n] - pnw[n + 1]) / pnw[n]
         scaled = ecrit_ratio * n / math.log(n) if n > 1 else math.nan
-        rows.append(RatioRow(n, c.pnw[n] / c.pnw[n - 1], ecrit_ratio, scaled))
+        rows.append(RatioRow(n, pnw[n] / pnw[n - 1], ecrit_ratio, scaled))
     return rows

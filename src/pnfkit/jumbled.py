@@ -48,9 +48,11 @@ class JumbledIndex(NamedTuple):
     def query_many(self, ones: Sequence[int], zeros: Sequence[int]) -> list[bool]:
         """query on each pair (ones[i], zeros[i]). The comprehension repeats
         query's comparison: a call of query per pair costs more than it."""
+        if len(ones) != len(zeros):
+            raise ValueError(f"{len(ones)} ones counts but {len(zeros)} zeros counts")
         _check_counts(min(ones, default=0), min(zeros, default=0))
         n, fmin, fmax = self.n, self.fmin, self.fmax
-        return [k <= n and fmin[k] <= o <= fmax[k] for o, k in zip(ones, map(add, ones, zeros), strict=True)]
+        return [k <= n and fmin[k] <= o <= fmax[k] for o, k in zip(ones, map(add, ones, zeros))]
 
     # fmax[k] and fmin[k] are rank(1, k) on the two forms, so the rank
     # lookup is the same lookup.

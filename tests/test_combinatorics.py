@@ -266,12 +266,12 @@ class TestWalkKernel:
     def test_window_prunes_to_reachable_nodes(self):
         # With a window only nodes that can still reach it are visited,
         # and only the leaves inside it are yielded.
-        nodes, ecrit = [0] * 13, [0] * 13
-        leaves = list(combinatorics._walk(0, 0, 12, 5, 7, nodes, ecrit))
+        nodes = [0] * 13
+        leaves = list(combinatorics._walk(0, 0, 12, 5, 7, nodes))
         full = census(12)
         assert sorted(bits.bit_count() for bits in leaves) == [5] * full.by_density[5] + [6] * full.by_density[6] + [7] * full.by_density[7]
         assert nodes[0] == 1 and nodes[11] < full.pnw[11]
-        assert list(combinatorics._walk(0b11, 2, 12, 0, 1, nodes, ecrit)) == []
+        assert list(combinatorics._walk(0b11, 2, 12, 0, 1, nodes)) == []
 
     @pytest.mark.parametrize("x", [0, 1])
     def test_enumeration_order(self, x):

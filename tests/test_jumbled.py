@@ -123,7 +123,7 @@ class TestQueries:
                 assert ix.query_many(ones, zeros) == expected
                 assert [ix.query(ones=o, zeros=z) for o, z in pairs] == expected
 
-    @pytest.mark.parametrize("ones, zeros", [([1, -1], [0, 0]), ([0], [-3]), ([1, 2], [0])])
+    @pytest.mark.parametrize("ones, zeros", [([1, -1], [0, 0]), ([0], [-3]), ([1, 2], [0]), ([1], [1, 2])])
     def test_query_many_rejects_bad_batches(self, ones, zeros):
         ix = build_index(parse_word("101"))
         with pytest.raises(ValueError):
