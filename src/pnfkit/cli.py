@@ -257,9 +257,8 @@ def _answer_block(ix, path: str, rows: list[str], lineno: int, columns: tuple[li
     goes to _answer_rows. So the row rules would give the same answers."""
     import json  # only query-batch and JSON output load it
 
-    plain = list(filter(None, rows))  # the row rules skip empty rows
-    text = "\n".join(plain)
-    if text.translate(_COUNT_CHARS) == ",\n" * (len(plain) - 1) + "," and max(map(len, plain)) < _ROW_CAP:
+    text = "\n".join(rows)
+    if text.translate(_COUNT_CHARS) == ",\n" * (len(rows) - 1) + "," and max(map(len, rows)) < _ROW_CAP:
         try:
             counts = json.loads("[" + text.replace("\n", ",") + "]")
         except ValueError:

@@ -658,31 +658,6 @@ class TestQueryBatchBlocks:
         assert (code, out.count("\n")) == (0, 8000)
         assert [row for row in seen if row] == ["ones,zeros"]
 
-    def test_blank_rows_skip_the_row_rules(self, capsys, monkeypatch, tmp_path, ixfile):
-        # Empty rows inside a block are dropped before the block's parse: the
-        # row rules see only the header candidate and the tail, and the
-        # answers are those of the same file without the empty rows.
-        calls = []
-        rules = cli._answer_rows
-
-        def logged(*args):
-            calls.append(args[2])
-            return rules(*args)
-
-        monkeypatch.setattr(cli, "_answer_rows", logged)
-        monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)
-        rows = PLAIN_ROWS * 1000
-        spaced = [line for row in rows for line in (row, "")]
-        blank, plain = tmp_path / "blank.csv", tmp_path / "plain.csv"
-        blank.write_text("\n".join(["ones,zeros", *spaced, ""]))
-        plain.write_text("\n".join(["ones,zeros", *rows, ""]))
-        for fmt in ("text", "csv", "json"):
-            argv = ["--format", fmt, "index", "query-batch", str(ixfile)]
-            calls.clear()
-            answers = run(capsys, *argv, str(blank))
-            assert (answers[0], len(calls), calls[0]) == (0, 2, ["ones,zeros"])
-            assert answers == run(capsys, *argv, str(plain))
-
     def test_count_past_two_to_the_63_answers_no(self, capsys, ixfile, tmp_path):
         huge = "1" * 29
         queries = self.csv(tmp_path, ["3,2", f"{huge},0", f"0,{huge}", ""], "\n")
