@@ -9,18 +9,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import index
 from typing import Iterator
 
 from .errors import WordParseError, check_scale
 
-# A profile costs at most r + n big-int tests, each a few operations on
-# an int of at most r * log2(4n) bits, r = min(|w|_0, |w|_1): O(n^2 log n)
+# A profile costs at most r + n tests, r = min(|w|_0, |w|_1), each two
+# big-int operations on an int of at most r * log2(8n) bits: O(n^2 log n)
 # bit operations in the worst case, done a machine word at a time (see
-# _pnf1_bits). Anything past this length is refused rather than left to
-# crawl.
+# _pnf1_bits). Packing the positions first is O(r log n). Anything past
+# this length is refused rather than left to crawl.
 PROFILE_LENGTH_GUARD = 100_000
+
+# The profile scan drops the fields its shift has vacated once per this
+# many steps, not at every step.
+_NARROW_STEPS = 32
 
 # Byte tables mapping an ASCII '0'/'1' rendering to 0/1 indicators of
 # symbol x, indexed by x.
@@ -176,59 +180,64 @@ def _pnf1_bits(bits: int, n: int) -> int:
 
     The scan is word-parallel over the positions of the rarer symbol,
     r = min(|w|_0, |w|_1). They go into W-bit fields of one int q,
-    W = bitlen(2n + 2) + 1, so half = 2^(W-1) exceeds 2n + 2. Every
-    test adds a shifted copy of q to a running int b whose fields sit
-    in [0, 2 half), and reads the fields' top bits with one AND against
-    high (half in every field): a field of the sum reaches half exactly
-    when the span it holds passes the test. No sum or difference of two
-    fields leaves [0, 2 half), so no carry or borrow crosses a field.
+    W = bitlen(2n + 2) + 1, so half = 2^(W-1) exceeds 2n + 2. The test
+    for step t reads a running int c, whose field j is half plus or
+    minus span against the distance between fields j and j + t of q,
+    with one AND against high (half in every field): a field of c
+    reaches half exactly when the span it holds passes the test. Every
+    field of c stays in [0, 2 half), so no carry or borrow crosses a
+    field, and a field vacated by the shift stays below half.
 
     The span sought for each t strictly increases in t, since a window
     for t + 1 strictly contains one for t. So one running bound, span,
     serves every t: it starts one past the last answer and rises by one
-    per failed test, never past n. The scan narrows: after the shift by
-    t * W the top t fields of s are empty and those of b can never pass
-    (see each branch), so step t drops them from mask, ones and b, and
-    its tests run on the (F - t) * W live bits, F the field count. A
-    profile takes at most r + n tests of a few operations each: the sum
-    of their live bits, at most (r + n) * F * W. Packing comes first: r
-    steps, each rewriting the whole of q and of the unpacked bits, so
-    O(r * (r * W + n)) bit operations.
+    per failed test, never past n. A failed test costs two big-int
+    operations, the AND and one add of ones (1 in every field). Moving
+    from t to t + 1 costs two more: c takes one add of a precomputed
+    difference int, which then shifts down one field. Every
+    _NARROW_STEPS steps, c, ones and high drop their vacated fields, so
+    a test runs on at most (F - t + _NARROW_STEPS) * W bits, F the field
+    count. A profile takes at most r + n tests: O((r + n) * r * W) bit
+    operations, done a machine word at a time. The positions are packed
+    by one join of their W-bit renderings and one int(), O(r * W).
     """
     w = (2 * n + 2).bit_length() + 1
     r = bits.bit_count()
+    field = f"0{w}b"
+    text = format(bits, "b").zfill(n)[::-1].encode("ascii")
     if 2 * r <= n:
         # Ones rarer: the shortest factor holding t + 1 ones is one
         # longer than g(t), the least distance between ones t apart. The
         # 1-based positions p_1 < ... < p_r go in p_1 first, so field j
-        # holds n + p_(r-j), and field j of q - (q >> tW) is the distance
-        # p_(r-j) - p_(r-j-t) for j < r - t and a vacated n + p > n
-        # above. b holds half + span - q_j in field j, so field j of
-        # b + (q >> tW) reaches half exactly when that distance is at
-        # most span; vacated fields stay below half, as span < n.
+        # holds n + p_(r-j) and the fields descend. c holds
+        # half + span - (q_j - q_(j+t)) in field j, which reaches half
+        # exactly when that distance is at most span. From t to t + 1,
+        # field j loses q_(j+t) - q_(j+t+1) - 1, field j + t of
+        # g = q - (q >> W) - ones. A vacated field holds half + span less
+        # an n + p > n, so stays below half, as span < n.
         if r < 2:
             return r
-        q = 0
-        while bits:
-            low = bits & -bits
-            q = q << w | n + low.bit_length()
-            bits ^= low
-        mask = (1 << r * w) - 1
-        ones = mask // ((1 << w) - 1)
+        at = compress(range(n + 1, 2 * n + 1), text.translate(_INDICATORS[1]))
+        q = int("".join(format(v, field) for v in at), 2)
+        ones = ((1 << r * w) - 1) // ((1 << w) - 1)
         high = ones << (w - 1)
-        b = high - q
+        g = q - (q >> w) - ones
+        c = high
         out = 1
-        span, s = 0, q
-        for _ in range(1, r):
-            s >>= w
-            mask >>= w
-            ones >>= w
-            b = (b & mask) + ones
+        span = 0
+        for t in range(1, r):
+            c -= g
+            g >>= w
             span += 1
-            while not (b + s) & high:
-                b += ones
+            while not c & high:
+                c += ones
                 span += 1
             out |= 1 << span
+            if not t % _NARROW_STEPS:
+                mask = (1 << (r - t) * w) - 1
+                c &= mask
+                ones &= mask
+                high &= mask
         return out
     # Zeros rarer: the longest factor with at most j zeros is h(j + 1) - 1,
     # with h(s) the widest distance between edges s apart over the 1-based
@@ -237,35 +246,35 @@ def _pnf1_bits(bits: int, n: int) -> int:
     # max-ones steps everywhere else: those lengths k, again distinct,
     # leave the all-ones mask. Each edge e goes in as n + 1 - e, from
     # n + 1 down to 0, so field j holds the j-th edge of the reversed
-    # word (same profile) and the fields ascend. Of the m = |w|_0 + 2
-    # fields, field j of (q >> sW) + high - q is half plus a distance
-    # for j < m - s and half less an edge above. b holds
-    # half - (span + 1) - q_j in field j, so field j of b + (q >> sW)
-    # reaches half exactly when that distance exceeds span; vacated
-    # fields stay in [0, half), as 2n + 2 < half.
-    zeros = bits ^ ((1 << n) - 1)
-    q = n + 1
-    while zeros:
-        low = zeros & -zeros
-        q = q << w | n + 1 - low.bit_length()
-        zeros ^= low
-    q <<= w
-    mask = (1 << (n - r + 2) * w) - 1
-    ones = mask // ((1 << w) - 1)
+    # word (same profile) and the fields ascend. c holds
+    # half + (q_(j+t) - q_j) - (span + 1) in field j, which reaches half
+    # exactly when that distance exceeds span. From t to t + 1, field j
+    # gains q_(j+t+1) - q_(j+t) - 1, field j + t of p = (q >> W) - q - ones.
+    # The top field of p is -(n + 2) and every other one is >= 0, so p
+    # still shifts fieldwise under the floor shift. A vacated field holds
+    # half - 1 less an edge and at most span, so stays in [0, half), as
+    # 2n + 2 < half.
+    at = compress(range(n, 0, -1), text.translate(_INDICATORS[0]))
+    q = int(format(n + 1, field) + "".join(format(v, field) for v in at) + format(0, field), 2)
+    fields = n - r + 2
+    ones = ((1 << fields * w) - 1) // ((1 << w) - 1)
     high = ones << (w - 1)
-    b = high - q - ones
+    p = (q >> w) - q - ones
+    c = high - ones
     skipped = span = 0
-    s = q
-    for _ in range(n - r):
-        s >>= w
-        mask >>= w
-        ones >>= w
-        b = (b & mask) - ones
+    for t in range(1, n - r + 1):
+        c += p
+        p >>= w
         span += 1
-        while (b + s) & high:
-            b -= ones
+        while c & high:
+            c -= ones
             span += 1
         skipped |= 1 << span
+        if not t % _NARROW_STEPS:
+            mask = (1 << (fields - t) * w) - 1
+            c &= mask
+            ones &= mask
+            high &= mask
     return (1 << n) - 1 - (skipped >> 1)
 
 

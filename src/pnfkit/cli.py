@@ -15,7 +15,6 @@ from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
-from . import combinatorics, jumbled, lyndon, normality, pnf
 from .bitword import PROFILE_LENGTH_GUARD, BinaryWord, parse_word
 from .errors import PnfkitError, ScaleError, WordParseError, check_scale
 
@@ -147,9 +146,12 @@ def _csv_cell(value) -> str:
 
 
 # --- subcommands -----------------------------------------------------------
+# Each handler imports the modules it runs: importing the CLI loads none.
 
 
 def _cmd_pnf(args) -> int:
+    from . import pnf
+
     w = _read_word(args)
     unsafe = args.unsafe_large
     if args.bit == "both":
@@ -170,6 +172,8 @@ def _cmd_pnf(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import normality
+
     guard = () if args.method == "def" else ("characterisation length", normality.CHARACTERISATION_GUARD)
     w = _read_word(args, *guard)
     unsafe = args.unsafe_large
@@ -213,6 +217,8 @@ def _bad_row(path: str, lineno: int, line: str) -> ValueError:
 
 
 def _cmd_index(args) -> int:
+    from . import jumbled
+
     if args.index_cmd == "build":
         w = _read_word_file(args.wordfile, args.unsafe_large)
         ix = jumbled.build_index(w, unsafe_large=args.unsafe_large)
@@ -292,6 +298,8 @@ def _answer_rows(ix, path: str, rows: list[str], lineno: int, columns: tuple[lis
 
 
 def _cmd_enum(args) -> int:
+    from . import combinatorics
+
     unsafe = args.unsafe_large
     if args.members and not args.classes:
         raise ValueError("--members lists class members; it needs --classes")
@@ -338,6 +346,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_parikh(args) -> int:
+    from . import pnf
+
     w = _read_word(args, "Parikh set length", pnf.PARIKH_SET_LENGTH_GUARD)
     vectors = sorted(pnf.parikh_set(w, unsafe_large=args.unsafe_large))
     _emit(args, ["zeros", "ones"], vectors)
@@ -345,6 +355,8 @@ def _cmd_parikh(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    from . import jumbled
+
     w = _read_word(args)
     ix = jumbled.build_index(w, unsafe_large=args.unsafe_large)
     paths = [w.prefix_counts(1), ix.fmax, ix.fmin]
@@ -357,12 +369,16 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_gf(args) -> int:
+    from . import combinatorics
+
     coeffs = combinatorics.expand_gf(args.d, args.order)
     _emit(args, ["n", "coefficient"], list(enumerate(coeffs)))
     return EXIT_OK
 
 
 def _cmd_ext(args) -> int:
+    from . import combinatorics
+
     w = _read_word(args)
     count = combinatorics.ext_count(w, args.m, args.density, unsafe_large=args.unsafe_large)
     row = (w.to01(), args.m, "" if args.density is None else args.density, count)
@@ -371,6 +387,8 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import combinatorics
+
     rows = combinatorics.bound_check(args.n, unsafe_large=args.unsafe_large)
     threshold = combinatorics.upper_bound_threshold(rows)
     lines = [
@@ -389,12 +407,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_prenecklaces(args) -> int:
+    from . import lyndon
+
     value = lyndon.count_prenecklaces(args.n, unsafe_large=args.unsafe_large)
     _emit(args, ["n", "prenecklaces"], [(args.n, value)], text_lines=map(str, [value]))
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse reads check --method's choices as the argument is added.
+    from . import normality
+
     # Accepted before the subcommand and after its arguments (the later wins):
     # SUPPRESS keeps an absent flag from clobbering one; main fills defaults.
     common = argparse.ArgumentParser(add_help=False)

@@ -211,8 +211,7 @@ class Census(NamedTuple):
 
     pnw[m] counts the 1-prefix-normal words of length m; ecrit[m] counts
     those whose 1-extension leaves the language. ecrit[n] needs a count at
-    n + 1, so it is 0 unless the census was taken with include_leaf_ecrit.
-    by_density[d] counts those of length n with d ones.
+    n + 1, so it is 0: count_ecrit(n) gives it. by_density[d] counts those of length n with d ones.
     """
 
     n: int
@@ -221,13 +220,7 @@ class Census(NamedTuple):
     by_density: tuple[int, ...]
 
 
-def census(
-    n: int,
-    *,
-    include_leaf_ecrit: bool = False,
-    threads: int | None = None,
-    unsafe_large: bool = False,
-) -> Census:
+def census(n: int, *, threads: int | None = None, unsafe_large: bool = False) -> Census:
     """Count 1-prefix-normal words (and critical words) for every length
     up to n, in one process; threads is accepted and changes nothing. Every
     0-extension of a prefix normal word is prefix normal, so a word that can
@@ -235,8 +228,7 @@ def census(
     check_scale("enumeration length", n, ENUM_LENGTH_GUARD, unsafe_large)
     pnw, hist = _counts(0, 0, n)
     ecrit = [2 * a - b for a, b in zip(pnw, pnw[1:])]
-    ecrit.append(2 * pnw[n] - _counts(0, 0, n + 1)[0][n + 1] if include_leaf_ecrit else 0)
-    return Census(n, tuple(pnw), tuple(ecrit), tuple(hist))
+    return Census(n, tuple(pnw), (*ecrit, 0), tuple(hist))
 
 
 # ---------------------------------------------------------------------------

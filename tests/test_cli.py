@@ -1053,6 +1053,24 @@ class TestStartup:
         unused = {"concurrent.futures", "multiprocessing", "dataclasses", "json"}
         assert unused.isdisjoint(added)
 
+    @pytest.mark.parametrize(
+        "argv, runs",
+        [([], []), (["pnf", "1"], ["normality", "pnf"]), (["enum", "3"], ["combinatorics", "normality"])],
+        ids=["import", "pnf", "enum"],
+    )
+    def test_cli_loads_only_the_modules_its_command_runs(self, argv, runs):
+        # Importing the CLI loads no command's modules, and each handler
+        # loads its own. Building the parser loads normality, whose
+        # deciders are check --method's choices.
+        script = (
+            "import sys\n"
+            "from pnfkit import cli\n"
+            f"if {argv!r}: cli.main({argv!r})\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('pnfkit')))\n"
+        )
+        loaded = [m for m in self._python("-c", script).split() if m.startswith("pnfkit")]
+        assert loaded == sorted(["pnfkit", *(f"pnfkit.{m}" for m in ["bitword", "cli", "errors", *runs])])
+
     def test_module_entry_point(self):
         assert self._python("-m", "pnfkit.cli", "pnf", "1") == "PNF1=1\n"
 

@@ -182,12 +182,13 @@ class TestWalkKernel:
 
     def test_census_arrays(self):
         for n in range(19):
-            for leaf_ecrit in (False, True):
-                nodes, ecrit, hist = walk_counts_oracle((0,), n, leaf_ecrit, True)
-                c = census(n, include_leaf_ecrit=leaf_ecrit, threads=1)
-                assert c.pnw == tuple(nodes), (n, leaf_ecrit)
-                assert c.ecrit == tuple(ecrit), (n, leaf_ecrit)
-                assert c.by_density == tuple(hist), (n, leaf_ecrit)
+            nodes, ecrit, hist = walk_counts_oracle((0,), n, True, True)
+            c = census(n, threads=1)
+            assert c.pnw == tuple(nodes), n
+            # The leaf level's ecrit needs a count at n + 1: count_ecrit gives it.
+            assert c.ecrit == (*ecrit[:n], 0), n
+            assert count_ecrit(n) == ecrit[n], n
+            assert c.by_density == tuple(hist), n
 
     def test_every_density(self, monkeypatch):
         monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 1)
@@ -258,9 +259,9 @@ class TestWalkKernel:
 
     def test_pinned_counts_to_30(self):
         # Frozen from the forked walk these counts replaced.
-        c = census(30, include_leaf_ecrit=True)
+        c = census(30)
         assert c.pnw[27:] == (6900717, 12910042, 24427486, 45850670)
-        assert c.ecrit[27:] == (891392, 1392598, 3004302, 4731177)
+        assert (*c.ecrit[27:30], count_ecrit(30)) == (891392, 1392598, 3004302, 4731177)
         assert census(28).by_density == (
             1, 1, 27, 182, 1089, 4095, 15472, 42151, 114959, 242498, 492420, 805203, 1242046, 1556807,
             1841034, 1802165, 1647916, 1252958, 881249, 511667, 272570, 118227, 46203, 14291, 3883, 782,
@@ -482,11 +483,11 @@ class TestClassStatistics:
             class_statistics(9, include_listing=True)
 
     def test_enum_report(self):
-        c = census(8, include_leaf_ecrit=True)
+        c = census(8)
         assert c.pnw[8] == 70
         assert class_statistics(8).class_count == 70
         assert sum(c.by_density) == 70
-        assert c.ecrit[8] == 15
+        assert count_ecrit(8) == 15
 
 
 class TestSeparatingSuffix:

@@ -1,6 +1,7 @@
 """The package's public surface: the export list matches what its
-__init__ imports, and the result records keep their contract."""
+__init__ loads, and the result records keep their contract."""
 
+import sys
 import types
 
 import pytest
@@ -27,12 +28,23 @@ from pnfkit.combinatorics import BoundRow, EquivalenceClass, RatioRow
 
 
 def test_all_matches_imported_names():
+    # Exports load on first use, so vars(pnfkit) holds a name only once it
+    # has been read. Every name in __all__ resolves to the object its home
+    # module defines, dir() lists it before it is read, and once all are
+    # read the package holds no other public name.
+    assert set(pnfkit.__all__) <= set(dir(pnfkit))
+    for name in pnfkit.__all__:
+        value = getattr(pnfkit, name)
+        assert value.__module__.startswith("pnfkit."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
     imported = {
         name
         for name, value in vars(pnfkit).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(pnfkit.__all__) == imported
+    with pytest.raises(AttributeError, match="has no attribute 'parse'"):
+        pnfkit.parse
 
 
 # Each record type, its field order, and one instance the library built.

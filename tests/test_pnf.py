@@ -167,6 +167,27 @@ class TestKernelMatchesWindowScan:
         # complement.
         self.assert_matches(word_with_ones(2000, positions))
 
+    @pytest.mark.parametrize("r", [31, 32, 33, 63, 64, 65])
+    def test_rarer_counts_around_the_narrowing_stride(self, r):
+        # The scan drops vacated fields once every 32 steps, and takes
+        # r - 1 steps with ones rarer and r with zeros rarer, so these r
+        # narrow just short of, at and across one and two strides. At
+        # n = 2r both the word and its complement take the ones-rarer
+        # branch; at 2r + 1 and 5r the complement takes the zeros-rarer one.
+        rng = random.Random(r)
+        for n in (2 * r, 2 * r + 1, 5 * r):
+            for positions in (rng.sample(range(1, n + 1), r), range(1, r + 1), range(n - r + 1, n + 1)):
+                self.assert_matches(word_with_ones(n, positions))
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65])
+    def test_edge_words_around_the_narrowing_stride(self, n):
+        for shape in ("all-0", "all-1"):
+            self.assert_matches(shaped_word(shape, n))
+        for position in (1, n // 2, n):
+            one = word_with_ones(n, [position])
+            self.assert_matches(one)
+            self.assert_matches(one.complement())
+
 
 class TestDifferenceWord:
     """Both normal forms against a bit-at-a-time packing of their profile steps."""
