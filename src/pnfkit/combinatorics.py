@@ -211,7 +211,8 @@ class Census(NamedTuple):
 
     pnw[m] counts the 1-prefix-normal words of length m; ecrit[m] counts
     those whose 1-extension leaves the language. ecrit[n] needs a count at
-    n + 1, so it is 0: count_ecrit(n) gives it. by_density[d] counts those of length n with d ones.
+    n + 1, so it is 0: count_ecrit(n) gives it. by_density[d] counts those
+    of length n with d ones.
     """
 
     n: int
