@@ -6,7 +6,7 @@ of 1-prefix-normal words: appending 0 always stays in the language,
 appending 1 is gated by the append-one test. So pnw(m+1) = 2 pnw(m) -
 ecrit(m), where ecrit(m) counts the words that cannot take a 1: counts
 count words only, and read ecrit off them. Below the midpoint a count
-reads memoised completion tallies instead of walking (`_counts`).
+folds completion keys one level at a time instead of walking (`_counts`).
 
 Append-one test. For a word w of length m with ones-prefix counts P,
 w1 is 1-prefix-normal iff every slack
@@ -34,7 +34,8 @@ that cross from w into u; a crossing factor longer than m reduces to
 2k bytes (e_1..e_k, P(1..k)). Appending b gives a child the caps
 min(e_{j+1} - b, P(j)) and drops the last P; appending 1 needs e_1 >= 1.
 A count walks to depth m0 = max(m, ceil(n/2)), where k = n - m0 <= m0 as
-the fact needs, and adds one memoised tally per node there, in one process.
+the fact needs, then folds the keys there level by level down to the
+leaves, in one process: nodes that share a key are counted together.
 """
 
 from __future__ import annotations
@@ -147,17 +148,15 @@ def _walk(root_bits: int, m: int, n: int, lo: int, hi: int, nodes: list[int]) ->
 def _counts(root_bits: int, m: int, n: int, d: int | None = None) -> tuple[list[int], list[int]]:
     """(nodes, hist) of the subtree under a 1-prefix-normal root of length
     m <= n: nodes per depth and the leaf density histogram, in one process.
-    Given d, only hist[d] is asked for: the walk keeps to nodes that can
+    Given d, only hist[d] is asked for: the count keeps to nodes that can
     still reach it, and no completion adds more than d ones.
 
     The tree is walked from the root to depth m0 (see the module
-    docstring); each node there adds the memoised tally of its key. A
-    tally packs counts in fields of width bits, which hold any count under
-    the root: nodes per relative depth and, in a second int, leaves per
-    ones added.
+    docstring), then folded one level at a time: a level maps each key to
+    its nodes there, counted in fields of width bits (which hold any count
+    under the root) by the ones they added to the root's. Only the level
+    being read and the one being built are held.
     """
-    if n == 0:
-        return [1], [1]
     m0 = max(m, (n + 1) // 2)
     free = n - m0
     # A key holds counts up to free, one byte each.
@@ -166,27 +165,8 @@ def _counts(root_bits: int, m: int, n: int, d: int | None = None) -> tuple[list[
     lo, hi = (0, n) if d is None else (d, d)
     roots = [root_bits] if m == m0 else _walk(root_bits, m, m0, lo - free, hi, nodes)
     width = n - m + 1
-    memo: dict[bytes, tuple[int, int]] = {}
-
-    def completions(key: bytes) -> tuple[int, int]:
-        # key is the caps then P, k bytes each for k symbols to add.
-        got = memo.get(key)
-        if got is None:
-            k = len(key) // 2
-            if k == 0:
-                return 1, 1
-            caps, p = key[1:k], key[k:-1]
-            below, hist = completions(bytes(map(min, caps, p)) + p)
-            if key[0]:
-                one_below, one_hist = completions(bytes(map(min, caps.translate(_DECREMENT), p)) + p)
-                below += one_below
-                hist += one_hist << width
-            got = memo[key] = 1 + (below << width), hist
-        return got
-
-    # Leaves are binned by the ones they add to the root's t0.
     t0 = root_bits.bit_count()
-    below = hist = 0
+    level: dict[bytes, int] = {}
     for bits in roots:
         t = bits.bit_count()
         if not lo - free <= t <= hi:
@@ -197,12 +177,28 @@ def _counts(root_bits: int, m: int, n: int, d: int | None = None) -> tuple[list[
             min(min(map(add, p[j + 1 : m0 + 1], p[m0 - 1 : j - 1 : -1]), default=t + p[j]) - t, hi - t)
             for j in range(1, free + 1)
         )
-        counts, leaves = completions(caps + bytes(p[1 : free + 1]))
-        below += counts
-        hist += leaves << (t - t0) * width
+        key = caps + bytes(p[1 : free + 1])
+        level[key] = level.get(key, 0) + (1 << (t - t0) * width)
     mask = (1 << width) - 1
-    nodes[m0:] = [below >> r * width & mask for r in range(free + 1)]
-    added = [hist >> a * width & mask for a in range(n - m + 1)]
+    for k in range(free, -1, -1):
+        # level holds the nodes at depth n - k, whose keys are 2k bytes.
+        total = sum(level.values())
+        added = [total >> a * width & mask for a in range(width)]
+        nodes[n - k] = sum(added)
+        if not k:
+            break
+        below: dict[bytes, int] = {}
+        for key, counts in level.items():
+            caps, p = key[1:k], key[k:-1]
+            child = bytes(map(min, caps, p)) + p
+            below[child] = below.get(child, 0) + counts
+            if key[0]:
+                child = bytes(map(min, caps.translate(_DECREMENT), p)) + p
+                below[child] = below.get(child, 0) + (counts << width)
+        # Nodes with fewer than lo - t0 - (k - 1) ones added cannot reach lo.
+        cut = max(0, lo - t0 - k + 1) * width
+        level = {key: c for key, counts in below.items() if (c := counts >> cut << cut)} if cut else below
+    # The last level's one key is b"", and its nodes are the leaves.
     return nodes, [0] * t0 + added + [0] * (m - t0)
 
 

@@ -268,6 +268,11 @@ class TestWalkKernel:
             131, 14, 1,
         )
 
+    def test_pinned_count_past_the_guard(self):
+        # Frozen from the memoised completion count at 1457fbb; the
+        # level-by-level fold that replaced it gives the same value.
+        assert count_pnw(32, unsafe_large=True) == 163_756_708
+
     def test_window_prunes_to_reachable_nodes(self):
         # With a window only nodes that can still reach it are visited,
         # and only the leaves inside it are yielded.
@@ -315,6 +320,12 @@ class TestDensityCounts:
             for d in range(n + 1):
                 direct = sum(1 for w in enumerate_pn(n, 1) if w.count(1) == d)
                 assert count_pnw_density(n, d) == direct
+
+    def test_dense_density_past_the_guard(self):
+        # Fields that can no longer reach d are dropped level by level, so
+        # a dense count does not carry every sparse completion below it.
+        # The memoised completion count gave the same value.
+        assert count_pnw_density(40, 35, unsafe_large=True) == 92996
 
     def test_bad_density_rejected(self):
         with pytest.raises(ValueError):
