@@ -203,8 +203,8 @@ def _cmd_check(args) -> int:
 # A query-batch CSV is read _CSV_BLOCK characters at a time. A row that
 # reaches _ROW_CAP characters is malformed wherever it starts, and the file is
 # read at most one block past that. An error quotes at most the first
-# _ROW_ECHO characters of a bad row. A block of plain rows is answered by one
-# JumbledIndex.query_many call, any other by the row rules of _answer_rows.
+# _ROW_ECHO characters of a bad row. A block of plain rows is parsed at once,
+# any other by the row rules of _read_rows; one query_many call answers all.
 _CSV_BLOCK = 1 << 16
 _ROW_CAP = 64 * 1024
 _ROW_ECHO = 80
@@ -234,33 +234,34 @@ def _cmd_index(args) -> int:
         _emit(args, ["ones", "zeros", "answer"], [(args.ones, args.zeros, answer)], text_lines=[answer])
         return EXIT_OK
     # query-batch: one "ones,zeros" pair per row, optional header. Every
-    # row is answered before any is written, so a bad row leaves stdout empty.
-    columns = ones, zeros, answers = [], [], []
+    # row is read before any is answered, so a bad row leaves stdout empty.
+    columns = ones, zeros = [], []
     # Not UTF-8, under which int() would take digits such as '３'.
     with open(args.csvfile, "r", encoding="ascii", errors="surrogateescape") as fp:
         # The header candidate takes the row rules: the cap, then the header.
-        _answer_rows(ix, args.csvfile, [fp.readline(_ROW_CAP).removesuffix("\n")], 1, columns)
+        _read_rows(args.csvfile, [fp.readline(_ROW_CAP).removesuffix("\n")], 1, columns)
         lineno, tail = 2, ""
         for block in iter(partial(fp.read, _CSV_BLOCK), ""):
             *rows, tail = (tail + block).split("\n")
-            _answer_block(ix, args.csvfile, rows, lineno, columns)
+            _read_block(args.csvfile, rows, lineno, columns)
             lineno += len(rows)
             if len(tail) >= _ROW_CAP:
                 raise _bad_row(args.csvfile, lineno, tail)
-        _answer_rows(ix, args.csvfile, [tail], lineno, columns)
+        _read_rows(args.csvfile, [tail], lineno, columns)
     word = ("no", "yes").__getitem__
+    answers = ix.query_many(ones, zeros)
     rows = zip(ones, zeros, map(word, answers))
     _emit(args, ["ones", "zeros", "answer"], rows, text_lines=map(word, answers))
     return EXIT_OK
 
 
-def _answer_block(ix, path: str, rows: list[str], lineno: int, columns: tuple[list, list, list]) -> None:
-    """Answer rows, the lines of the CSV from lineno on, onto the columns
-    (ones, zeros, answers). Rows of digits and spaces around one comma, each
+def _read_block(path: str, rows: list[str], lineno: int, columns: tuple[list, list]) -> None:
+    """Parse rows, the lines of the CSV from lineno on, onto the count
+    columns (ones, zeros). Rows of digits and spaces around one comma, each
     under the cap, are parsed by one json.loads: under that shape JSON's
     integers are a subset of what int() takes, with the same values, and what
     JSON refuses (leading zeros, inner spaces, empty fields, the digit limit)
-    goes to _answer_rows. So the row rules would give the same answers."""
+    goes to _read_rows. So the row rules would give the same counts."""
     import json  # only query-batch and JSON output load it
 
     text = "\n".join(rows)
@@ -270,16 +271,15 @@ def _answer_block(ix, path: str, rows: list[str], lineno: int, columns: tuple[li
         except ValueError:
             pass
         else:
-            ones, zeros = counts[::2], counts[1::2]
-            for column, part in zip(columns, (ones, zeros, ix.query_many(ones, zeros))):
-                column += part
+            columns[0].extend(counts[::2])
+            columns[1].extend(counts[1::2])
             return
-    _answer_rows(ix, path, rows, lineno, columns)
+    _read_rows(path, rows, lineno, columns)
 
 
-def _answer_rows(ix, path: str, rows: list[str], lineno: int, columns: tuple[list, list, list]) -> None:
-    """The row rules: answer each row, or raise _bad_row for the first bad one."""
-    ones, zeros, answers = columns
+def _read_rows(path: str, rows: list[str], lineno: int, columns: tuple[list, list]) -> None:
+    """The row rules: parse each row onto the columns, or raise _bad_row for the first bad one."""
+    ones, zeros = columns
     for lineno, line in enumerate(rows, start=lineno):
         if len(line) >= _ROW_CAP:
             raise _bad_row(path, lineno, line)
@@ -289,12 +289,12 @@ def _answer_rows(ix, path: str, rows: list[str], lineno: int, columns: tuple[lis
         try:
             ones_s, zeros_s = line.split(",")
             o, z = int(ones_s), int(zeros_s)
-            answer = ix.query(ones=o, zeros=z)
         except ValueError:
             raise _bad_row(path, lineno, line) from None
+        if o < 0 or z < 0:
+            raise _bad_row(path, lineno, line)
         ones.append(o)
         zeros.append(z)
-        answers.append(answer)
 
 
 def _cmd_enum(args) -> int:

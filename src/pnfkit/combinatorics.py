@@ -163,14 +163,11 @@ def _counts(root_bits: int, m: int, n: int, d: int | None = None) -> tuple[list[
     check_scale("completion length", free, COMPLETION_GUARD, False)
     nodes = [0] * (n + 1)
     lo, hi = (0, n) if d is None else (d, d)
-    roots = [root_bits] if m == m0 else _walk(root_bits, m, m0, lo - free, hi, nodes)
     width = n - m + 1
     t0 = root_bits.bit_count()
     level: dict[bytes, int] = {}
-    for bits in roots:
+    for bits in _walk(root_bits, m, m0, lo - free, hi, nodes):
         t = bits.bit_count()
-        if not lo - free <= t <= hi:
-            continue
         p = BinaryWord(bits, m0).prefix_counts(1)
         # A density count caps u's prefixes at the hi - t ones its leaves may add.
         caps = bytes(

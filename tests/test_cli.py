@@ -569,7 +569,7 @@ class TestQueryBatchBlocks:
         argv = ["index", "query-batch", str(ixfile), str(queries)]
         blocks = [run(capsys, "--format", fmt, *argv) for fmt in ("text", "csv", "json")]
         with monkeypatch.context() as m:
-            m.setattr(cli, "_answer_block", cli._answer_rows)
+            m.setattr(cli, "_read_block", cli._read_rows)
             rows = [run(capsys, "--format", fmt, *argv) for fmt in ("text", "csv", "json")]
         assert blocks == rows
         return blocks[0]
@@ -645,18 +645,50 @@ class TestQueryBatchBlocks:
     def test_plain_rows_skip_the_row_rules(self, capsys, monkeypatch, tmp_path, ixfile):
         # Only the header candidate goes through the row rules.
         seen = []
-        rules = cli._answer_rows
+        rules = cli._read_rows
 
-        def logged(ix, path, rows, *rest):
+        def logged(path, rows, *rest):
             seen.extend(rows)
-            return rules(ix, path, rows, *rest)
+            return rules(path, rows, *rest)
 
-        monkeypatch.setattr(cli, "_answer_rows", logged)
+        monkeypatch.setattr(cli, "_read_rows", logged)
         monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)
         queries = self.csv(tmp_path, ["ones,zeros", *PLAIN_ROWS * 1000, ""], "\n")
         code, out, _ = run(capsys, "index", "query-batch", str(ixfile), str(queries))
         assert (code, out.count("\n")) == (0, 8000)
         assert [row for row in seen if row] == ["ones,zeros"]
+
+    def test_one_lookup_answers_both_routes(self, capsys, monkeypatch, tmp_path, ixfile):
+        # Rows are only read, by the block or by the row rules: one
+        # query_many call answers the file, and query is never called.
+        huge = "1" * 29
+        rules = ["", "+3,2\r", "007,2\r", "-0,0", f"{huge},0", f"0,{huge}\r", "3 ,2"]
+        lines = ["ones,zeros\r", *PLAIN_ROWS * 200, *rules, *PLAIN_ROWS * 200, ""]
+        pairs = [tuple(map(int, line.split(","))) for line in lines[1:] if line.strip()]
+        ix = build_index(parse_word("1001101"))
+        answers = ["yes" if ix.query(ones=o, zeros=z) else "no" for o, z in pairs]
+        seen = []
+        read_rows = cli._read_rows
+
+        def logged(path, rows, *rest):
+            seen.extend(rows)
+            return read_rows(path, rows, *rest)
+
+        def no_query(self, **counts):
+            raise AssertionError("query-batch called JumbledIndex.query")
+
+        monkeypatch.setattr(pnfkit.JumbledIndex, "query", no_query)
+        monkeypatch.setattr(cli, "_read_rows", logged)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)
+        argv = ["index", "query-batch", str(ixfile), str(self.csv(tmp_path, lines, "\n"))]
+        assert run(capsys, *argv) == (0, "".join(a + "\n" for a in answers), "")
+        # The block route took some rows and the row rules took the rest.
+        assert "-0,0" in seen and len(seen) < len(pairs) // 2
+        csv_rows = "".join(f"{o},{z},{a}\n" for (o, z), a in zip(pairs, answers))
+        assert run(capsys, "--format", "csv", *argv) == (0, "ones,zeros,answer\n" + csv_rows, "")
+        code, out, err = run(capsys, "--format", "json", *argv)
+        expected = [{"ones": o, "zeros": z, "answer": a} for (o, z), a in zip(pairs, answers)]
+        assert (code, json.loads(out), err) == (0, expected, "")
 
     def test_count_past_two_to_the_63_answers_no(self, capsys, ixfile, tmp_path):
         huge = "1" * 29

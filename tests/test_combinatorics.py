@@ -190,8 +190,7 @@ class TestWalkKernel:
             assert count_ecrit(n) == ecrit[n], n
             assert c.by_density == tuple(hist), n
 
-    def test_every_density(self, monkeypatch):
-        monkeypatch.setattr(combinatorics, "resolve_threads", lambda threads=None: 1)
+    def test_every_density(self):
         for n in range(19):
             for d in range(n + 1):
                 assert count_pnw_density(n, d) == count_density_oracle((0,), n, d), (n, d)
@@ -208,7 +207,8 @@ class TestWalkKernel:
 
     def test_long_normal_root_starts_at_the_root(self, monkeypatch, rng):
         # A root past the midpoint is the one node the counts start from:
-        # no walk is set up, whose setup alone would hold O(n^2 log n) bits.
+        # the walk yields it before any setup, which alone would hold
+        # O(n^2 log n) bits.
         # A random descent of the tree, taking each allowed 1 with odds 0.7,
         # leaves a tight word: few of its extensions stay normal.
         prefix = [0]
@@ -218,10 +218,13 @@ class TestWalkKernel:
             prefix.append(total + one)
         w = BinaryWord(sum(1 << i for i in range(2000) if prefix[i + 1] > prefix[i]), 2000)
 
-        def no_walk(*args):
-            raise AssertionError("a root past the midpoint was walked")
+        walk = combinatorics._walk
 
-        monkeypatch.setattr(combinatorics, "_walk", no_walk)
+        def root_only(root_bits, m, n, *rest):
+            assert m == n, "a root past the midpoint was walked"
+            return walk(root_bits, m, n, *rest)
+
+        monkeypatch.setattr(combinatorics, "_walk", root_only)
         for m in range(9):
             n = len(w) + m
             expected = walk_counts_oracle(prefix, n, False, False)[0][n]
